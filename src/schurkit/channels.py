@@ -12,6 +12,7 @@ import numpy as np
 
 from .characters import character, young_orthogonal
 from .combinatorics import dim_p, dim_q, enumerate_partitions, normalize
+from .operators import collective_unitary
 from .permutations import all_permutations, conjugacy_classes
 from .schur_transform import schur_unitary
 
@@ -80,7 +81,7 @@ class ChannelNormalForm:
     isometry_residual: float
 
 
-def _interleave(n: int, db: int, de: int) -> list:
+def _interleave(n: int) -> list:
     """Axis order moving (b1 e1 ... bn en) to (b1..bn e1..en)."""
     return list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
 
@@ -99,12 +100,10 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
         raise ValueError("isometry must map C^da into C^db tensor C^de")
     if np.abs(u_n.conj().T @ u_n - np.eye(da)).max() > 1e-10:
         raise ValueError("input is not an isometry")
-    big = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        big = np.kron(big, u_n)
+    big = collective_unitary(u_n, n)
     # reorder output factors from (b1 e1 ... bn en) to (b1..bn e1..en)
     big = big.reshape((db, de) * n + (da**n,))
-    big = np.transpose(big, _interleave(n, db, de) + [2 * n])
+    big = np.transpose(big, _interleave(n) + [2 * n])
     big = big.reshape(db**n * de**n, da**n)
     sa, codec_a = schur_unitary(da, n)
     sb, codec_b = schur_unitary(db, n)

@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import dim_p, enumerate_yy, normalize, size
-from .permutations import transposition
 
 
 @lru_cache(maxsize=None)
@@ -129,9 +128,3 @@ def young_orthogonal(lam, s) -> np.ndarray:
         m = m @ _adjacent_matrix(lam, k)
     return m
 
-
-def rep_character_check(lam, s) -> float:
-    """|tr young_orthogonal - Murnaghan-Nakayama character| (debug helper)."""
-    from .permutations import cycle_type
-
-    return abs(np.trace(young_orthogonal(lam, s)) - character(lam, cycle_type(s)))

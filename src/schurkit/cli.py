@@ -228,7 +228,6 @@ def _haar(rng, d: int) -> np.ndarray:
 
 def _cmd_verify(args):
     rng = np.random.default_rng(args.seed)
-    perms = None
     rows = []
     worst_leak = worst_res = 0.0
     for t in range(args.trials):

@@ -359,11 +359,3 @@ def parse_partition(text: str) -> tuple:
         raise ValueError(f"not a partition: {text!r}")
     return lam
 
-
-def chain_str(chain) -> str:
-    """Semicolon-joined partitions (GZ patterns and YY paths)."""
-    return ";".join(partition_str(p) for p in chain)
-
-
-def parse_chain(text: str) -> tuple:
-    return tuple(parse_partition(p) for p in text.split(";")) if text else ()

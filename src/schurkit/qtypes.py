@@ -24,7 +24,7 @@ from .combinatorics import (
     normalize,
     schur_poly,
 )
-from .operators import DenseOperator
+from .operators import DenseOperator, collective_unitary
 from .schur_transform import dense_cap, schur_unitary
 
 
@@ -299,11 +299,7 @@ def concentrate(psi, n: int) -> ConcentrationReport:
         raise ValueError("instance too large for the dense path")
     su, codec = schur_unitary(d, n)
     # reorder psi^{tensor n} from (a1 b1 ... an bn) to (a1..an b1..bn)
-    m = psi.reshape(d, d)
-    state = np.array([1.0 + 0j])
-    for _ in range(n):
-        state = np.kron(state, m.reshape(-1))
-    state = state.reshape((d, d) * n)
+    state = collective_unitary(psi.reshape(1, -1), n).reshape((d, d) * n)
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     state = np.transpose(state, order).reshape(d**n, d**n)
     both = su.matrix @ state @ su.matrix.T  # rows: Alice labels, cols: Bob labels

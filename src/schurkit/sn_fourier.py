@@ -2,6 +2,12 @@
 the Schur transform to the group-algebra embedding, and generalized phase
 estimation: measuring the partition label of a state with a group-algebra
 ancilla and controlled qudit permutations instead of the Schur unitary.
+
+Both GPE entry points share one ancilla pipeline.  The controlled
+permutation sum_s |s><s| tensor P(s) is applied as an index gather per
+ancilla row, so the joint register is an n! x d^n array and nothing larger
+is formed.  GPE needs d^n <= dense_cap() for the system and n^n <=
+dense_cap() for the group-algebra embedding.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ import numpy as np
 
 from .characters import young_orthogonal
 from .combinatorics import dim_p, enumerate_gz, enumerate_partitions, gz_weight
-from .operators import DenseOperator, permutation_action
+from .operators import DenseOperator, _image_indices
 from .permutations import all_permutations, compose, inverse, perm_index, transposition
-from .schur_transform import central_projector_oracle, dense_cap, schur_unitary
+from .schur_transform import dense_cap, schur_unitary
 
 
 def group_algebra_embedding(n: int) -> np.ndarray:
@@ -160,7 +166,6 @@ def verify_fourier(n: int, trials: int = 0, seed: int = 0) -> FourierReport:
         mask = np.ones(w.shape, dtype=bool)
         for lam, sl in layout.blocks:
             mask[sl, sl] = False
-            k = dim_p(lam)
             d_fix = np.diag(signs[lam])
             expected = np.kron(
                 d_fix @ young_orthogonal(lam, s1) @ d_fix, young_orthogonal(lam, s2)
@@ -174,19 +179,32 @@ def verify_fourier(n: int, trials: int = 0, seed: int = 0) -> FourierReport:
 # generalized phase estimation
 
 
-def _trivial_ancilla(n: int) -> np.ndarray:
-    size = math.factorial(n)
-    return np.full(size, 1.0 / math.sqrt(size))
+def _ancilla_pipeline(state, d: int, n: int):
+    """Apply the controlled permutation to |trivial> tensor state and
+    Fourier-transform the ancilla.
 
+    Returns the Fourier layout, the n! x d^n joint register (rows in the
+    layout's order) and uncompute(branch), which inverts both steps on a
+    joint register and returns its component on the trivial ancilla.
+    """
+    state = np.asarray(state, dtype=complex).reshape(-1)
+    if state.shape[0] != d**n:
+        raise ValueError("state length must be d^n")
+    if d**n > dense_cap():
+        raise ValueError("instance too large")
+    f, layout = sn_qft_from_schur(n)
+    # dest[k, i] = index of P(s_k)|i>
+    dest = np.stack([_image_indices(s, d) for s in all_permutations(n)])
+    rows = np.arange(dest.shape[0])[:, None]
+    trivial = np.full(dest.shape[0], 1.0 / math.sqrt(dest.shape[0]))
+    joint = np.zeros(dest.shape, dtype=complex)
+    joint[rows, dest] = trivial[:, None] * state
+    joint = f.matrix @ joint
 
-def _controlled_permutation(d: int, n: int) -> np.ndarray:
-    """sum_s |s><s| tensor P(s) on C[S_n] tensor (C^d)^n."""
-    size = math.factorial(n)
-    dim = d**n
-    out = np.zeros((size * dim, size * dim))
-    for k, s in enumerate(all_permutations(n)):
-        out[k * dim : (k + 1) * dim, k * dim : (k + 1) * dim] = permutation_action(s, d)
-    return out
+    def uncompute(branch: np.ndarray) -> np.ndarray:
+        return trivial @ (f.matrix.T @ branch)[rows, dest]
+
+    return layout, joint, uncompute
 
 
 @dataclass
@@ -204,18 +222,7 @@ def gpe_measure(state, d: int, n: int) -> GPEResult:
     The label distribution equals the isotypic projector masses and the
     post-measurement state is the normalized projection.
     """
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.shape[0] != d**n:
-        raise ValueError("state length must be d^n")
-    if d**n > dense_cap() or n**n > dense_cap():
-        raise ValueError("instance too large")
-    f, layout = sn_qft_from_schur(n)
-    cp = _controlled_permutation(d, n)
-    dim = d**n
-    joint = cp @ np.kron(_trivial_ancilla(n), state)
-    # Fourier transform on the ancilla register
-    joint = joint.reshape(math.factorial(n), dim)
-    joint = f.matrix @ joint
+    layout, joint, uncompute = _ancilla_pipeline(state, d, n)
     result = GPEResult(distribution={}, post_states={}, ancilla_fidelity={})
     for lam, sl in layout.blocks:
         branch = np.zeros_like(joint)
@@ -224,11 +231,7 @@ def gpe_measure(state, d: int, n: int) -> GPEResult:
         result.distribution[lam] = prob
         if prob < 1e-14:
             continue
-        # uncompute: inverse Fourier, inverse controlled permutation
-        back = (cp.T @ (f.matrix.T @ branch).reshape(-1)).reshape(
-            math.factorial(n), dim
-        )
-        post = _trivial_ancilla(n) @ back  # component on the trivial ancilla
+        post = uncompute(branch)
         norm = np.linalg.norm(post)
         result.post_states[lam] = post / norm if norm > 0 else post
         result.ancilla_fidelity[lam] = float(norm**2 / prob)
@@ -239,44 +242,35 @@ def gpe_instrument(ops: dict, state, d: int, n: int) -> dict:
     """Apply a label-indexed instrument {x: {lam: A_lam^x on P_lam}} through
     the ancilla route: after the controlled-permutation step the ancilla's
     permutation register carries the system's original P_lam amplitudes, so
-    acting there effects A on the system.
+    acting there effects A on the system.  A sector missing from a family
+    acts as the zero operator.
 
     Returns x -> (probability, post-measurement system state).
     """
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.shape[0] != d**n:
-        raise ValueError("state length must be d^n")
-    f, layout = sn_qft_from_schur(n)
+    layout, joint, uncompute = _ancilla_pipeline(state, d, n)
     # only sectors with at most d rows can occur on the system
-    system_lams = [lam for lam, _ in layout.blocks if len(lam) <= d]
-    for lam in system_lams:
+    for lam, _ in layout.blocks:
+        if len(lam) > d:
+            continue
         k = dim_p(lam)
-        total = sum(
-            np.asarray(fam[lam], dtype=complex).conj().T
-            @ np.asarray(fam[lam], dtype=complex)
-            for fam in ops.values()
-        )
+        total = np.zeros((k, k), dtype=complex)
+        for fam in ops.values():
+            if lam in fam:
+                a = np.asarray(fam[lam], dtype=complex)
+                total += a.conj().T @ a
         if np.abs(total - np.eye(k)).max() > 1e-8:
             raise ValueError(f"instrument not normalized on sector {lam}")
-    cp = _controlled_permutation(d, n)
-    dim = d**n
-    joint0 = (f.matrix @ (cp @ np.kron(_trivial_ancilla(n), state)).reshape(
-        math.factorial(n), dim
-    ))
     out = {}
     for x, fam in ops.items():
-        moved = np.zeros_like(joint0)
+        moved = np.zeros_like(joint)
         for lam, sl in layout.blocks:
             if lam not in fam:
                 continue
             k = dim_p(lam)
             a = np.asarray(fam[lam], dtype=complex)
-            blk = joint0[sl, :].reshape(k, k, dim)
-            moved[sl, :] = np.einsum("qp,apx->aqx", a, blk).reshape(k * k, dim)
-        back = (cp.T @ (f.matrix.T @ moved).reshape(-1)).reshape(
-            math.factorial(n), dim
-        )
-        post = _trivial_ancilla(n) @ back
+            blk = joint[sl, :].reshape(k, k, -1)
+            moved[sl, :] = np.einsum("qp,apx->aqx", a, blk).reshape(k * k, -1)
+        post = uncompute(moved)
         prob = float(np.linalg.norm(post) ** 2)
         out[x] = (prob, post / math.sqrt(prob) if prob > 1e-14 else post)
     return out

@@ -123,6 +123,17 @@ def test_gpe_and_concentrate_read_state_files(tmp_path, capsys):
     assert abs(probs["3"] - 1.0) < 1e-10
 
 
+def test_gpe_rejects_oversized_group_algebra(tmp_path, capsys):
+    # d^n = 64 fits the cap but the n^n = 46656 group-algebra embedding does not
+    psi = np.zeros(64)
+    psi[0] = 1.0
+    code, _, err = run(
+        capsys, "gpe", "--state", state_file(tmp_path, psi), "--d", "2", "--n", "6"
+    )
+    assert code == 1
+    assert "error:" in err
+
+
 def test_usage_error_exits_64(capsys):
     assert run(capsys, "bogus")[0] == 64
     assert run(capsys, "dims", "--d", "2")[0] == 64  # missing --n

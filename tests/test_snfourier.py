@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_fourier_sampled_n4():
     assert report.block_residual < 1e-12
 
 
-@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 4), (3, 3)])
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)])
 def test_gpe_marginal_matches_projector_masses(d, n, rng):
     state = random_state(rng, d**n)
     result = gpe_measure(state, d, n)
@@ -131,3 +132,42 @@ def test_gpe_instrument_rejects_unnormalized(rng):
     bad = {"x": {(2,): np.eye(1) * 0.5, (1, 1): np.eye(1)}}
     with pytest.raises(ValueError):
         gpe_instrument(bad, state, d, n)
+
+
+def test_gpe_instrument_missing_sector_is_zero_operator(rng):
+    d, n = 2, 2
+    state = random_state(rng, d**n)
+    # each family omits the sector the other one carries
+    split = {"sym": {(2,): np.eye(1)}, "anti": {(1, 1): np.eye(1)}}
+    out = gpe_instrument(split, state, d, n)
+    table = measure_schur(state, d, n)
+    for x, lam in (("sym", (2,)), ("anti", (1, 1))):
+        assert abs(out[x][0] - table[lam]) < 1e-12
+    # a sector missing from every family leaves the instrument unnormalized
+    with pytest.raises(ValueError, match="not normalized"):
+        gpe_instrument({"sym": {(2,): np.eye(1)}}, state, d, n)
+
+
+def test_gpe_memory_stays_linear_in_the_register(rng):
+    d, n = 4, 4
+    state = random_state(rng, d**n)
+    lams = list(enumerate_partitions(d, n))
+    ident = {"only": {lam: np.eye(dim_p(lam)) for lam in lams}}
+    sn_qft_from_schur(n)  # build the cached Schur transform outside the window
+    tracemalloc.start()
+    try:
+        gpe_measure(state, d, n)
+        gpe_instrument(ident, state, d, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_gpe_instrument_respects_dense_cap(rng, monkeypatch):
+    monkeypatch.setenv("SCHURKIT_DENSE_CAP", "8")
+    d, n = 3, 2
+    state = random_state(rng, d**n)
+    ident = {"only": {lam: np.eye(dim_p(lam)) for lam in enumerate_partitions(d, n)}}
+    with pytest.raises(ValueError):
+        gpe_instrument(ident, state, d, n)
