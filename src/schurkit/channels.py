@@ -14,7 +14,7 @@ from .characters import character, young_orthogonal
 from .combinatorics import dim_p, dim_q, enumerate_partitions, normalize
 from .operators import collective_unitary
 from .permutations import all_permutations, conjugacy_classes
-from .schur_transform import schur_unitary
+from .schur_transform import _check_cap, schur_unitary
 
 
 def kronecker(lam_a, lam_b, lam_c) -> int:
@@ -100,6 +100,8 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
         raise ValueError("isometry must map C^da into C^db tensor C^de")
     if np.abs(u_n.conj().T @ u_n - np.eye(da)).max() > 1e-10:
         raise ValueError("input is not an isometry")
+    _check_cap((db * de) ** n)
+    _check_cap(da**n)
     big = collective_unitary(u_n, n)
     # reorder output factors from (b1 e1 ... bn en) to (b1..bn e1..en)
     big = big.reshape((db, de) * n + (da**n,))

@@ -1,6 +1,11 @@
 """Extraction of irrep matrices from the Schur transform and numerical
 verification that it simultaneously block-diagonalizes the collective
 unitary action and the qudit-permutation action.
+
+Every conjugation S X S^T here goes through schur_transform.schur_conjugate,
+which works on the torus-weight blocks of S; the leakage of
+verify_block_diagonal is still measured over every off-lam-block entry of
+the full d^n x d^n conjugate.
 """
 
 from __future__ import annotations
@@ -13,35 +18,32 @@ from .characters import young_orthogonal
 from .combinatorics import dim_p, dim_q, enumerate_partitions, normalize, schur_poly
 from .operators import (
     DenseOperator,
+    collective_unitary,
+    permutation_action,
     permute_columns_like,
-    real_complex_matmul,
-    right_multiply_collective,
 )
-from .schur_transform import schur_unitary
+from .permutations import check_permutation
+from .schur_transform import schur_conjugate, schur_unitary
 
 
-def _require_unitary(u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _require_unitary(u: np.ndarray, d: int, tol: float = 1e-8) -> np.ndarray:
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("expected a square matrix")
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > tol:
+    if u.shape != (d, d):
+        raise ValueError(f"expected a {d} x {d} matrix")
+    if np.abs(u.conj().T @ u - np.eye(d)).max() > tol:
         raise ValueError("matrix is not unitary within tolerance")
     return u
-
-
-def _conjugated_collective(a: np.ndarray, d: int, n: int) -> np.ndarray:
-    """S a^{tensor n} S^dagger with S the Schur transform (S is real)."""
-    s, _ = schur_unitary(d, n)
-    return real_complex_matmul(right_multiply_collective(s.matrix, a, n), s.matrix.T)
 
 
 def rep_matrix_q(lam, u, d: int, n: int) -> DenseOperator:
     """The unitary-group irrep matrix q_lam(u) on the GZ basis, extracted
     from the Schur conjugation of u^{tensor n} at a fixed path index."""
     lam = normalize(lam)
-    u = _require_unitary(u)
-    s, codec = schur_unitary(d, n)
-    w = _conjugated_collective(u, d, n)
+    if lam not in enumerate_partitions(d, n):
+        raise ValueError(f"{lam} is not a partition of {n} with at most {d} rows")
+    u = _require_unitary(u, d)
+    _, codec = schur_unitary(d, n)
+    w = schur_conjugate(collective_unitary(u, n), d, n)
     rows = [codec.index(lam, qi, 1) for qi in range(1, dim_q(lam, d) + 1)]
     block = w[np.ix_(rows, rows)]
     labels = [qi for qi in range(1, dim_q(lam, d) + 1)]
@@ -55,14 +57,15 @@ def rep_matrix_p(lam, s, d: int = None, n: int = None) -> DenseOperator:
     lam = normalize(lam)
     if n is None:
         n = len(s)
-    if sum(lam) != n or len(s) != n:
+    s = check_permutation(s, n)
+    if sum(lam) != n:
         raise ValueError("lam and s must have matching size n")
     if d is None:
         d = max(len(lam), 1)
     if len(lam) > d:
         raise ValueError("lam has more than d rows")
-    su, codec = schur_unitary(d, n)
-    w = permute_columns_like(su.matrix, tuple(s), d) @ su.matrix.T
+    _, codec = schur_unitary(d, n)
+    w = schur_conjugate(permutation_action(s, d), d, n)
     np_ = dim_p(lam)
     rows = [codec.index(lam, 1, pi) for pi in range(1, np_ + 1)]
     block = w[np.ix_(rows, rows)]
@@ -90,11 +93,10 @@ def verify_block_diagonal(u, s, d: int, n: int, tol: float = 1e-10) -> IrrepBloc
     outside the lam-diagonal blocks, and test that each block factors as
     (collective factor) tensor p_lam(s) with p_lam built independently from
     tableau contents."""
-    u = _require_unitary(u, tol=max(tol, 1e-8))
-    su, codec = schur_unitary(d, n)
-    # S (u^{tensor n} P(s)) S^T, applying the tensor power one site at a time
-    left = permute_columns_like(right_multiply_collective(su.matrix, u, n), tuple(s), d)
-    w = real_complex_matmul(left, su.matrix.T)
+    u = _require_unitary(u, d, tol=max(tol, 1e-8))
+    s = check_permutation(s, n)
+    _, codec = schur_unitary(d, n)
+    w = schur_conjugate(permute_columns_like(collective_unitary(u, n), s, d), d, n)
     report = IrrepBlockReport(d=d, n=n, leakage=0.0)
     absw = np.abs(w)
     for lam in enumerate_partitions(d, n):
@@ -131,8 +133,8 @@ def rho_blocks(rho, n: int) -> dict:
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -1e-10 or abs(rho.trace().real - 1.0) > 1e-10:
         raise ValueError("rho must be a density matrix (PSD, trace 1)")
-    su, codec = schur_unitary(d, n)
-    w = _conjugated_collective(rho, d, n)
+    _, codec = schur_unitary(d, n)
+    w = schur_conjugate(collective_unitary(rho, n), d, n)
     out = {}
     for lam in enumerate_partitions(d, n):
         sl = codec.block_slice(lam)

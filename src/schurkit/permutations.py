@@ -16,6 +16,13 @@ def identity(n: int) -> tuple:
     return tuple(range(1, n + 1))
 
 
+def check_permutation(s, n: int) -> tuple:
+    """s as a tuple of ints; ValueError unless it is a permutation of 1..n."""
+    if len(s) != n or sorted(s) != list(range(1, n + 1)):
+        raise ValueError(f"{tuple(s)} is not a permutation of 1..{n}")
+    return tuple(int(v) for v in s)
+
+
 def compose(s, t) -> tuple:
     """(s o t)(i) = s(t(i))."""
     return tuple(s[t[i] - 1] for i in range(len(t)))

@@ -25,7 +25,7 @@ from .combinatorics import (
     schur_poly,
 )
 from .operators import DenseOperator, collective_unitary
-from .schur_transform import dense_cap, schur_unitary
+from .schur_transform import dense_cap, schur_conjugate, schur_unitary
 
 
 def entropy(p) -> float:
@@ -297,12 +297,12 @@ def concentrate(psi, n: int) -> ConcentrationReport:
         raise ValueError("psi must be normalized")
     if d ** (2 * n) > dense_cap() ** 2:
         raise ValueError("instance too large for the dense path")
-    su, codec = schur_unitary(d, n)
+    _, codec = schur_unitary(d, n)
     # reorder psi^{tensor n} from (a1 b1 ... an bn) to (a1..an b1..bn)
     state = collective_unitary(psi.reshape(1, -1), n).reshape((d, d) * n)
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     state = np.transpose(state, order).reshape(d**n, d**n)
-    both = su.matrix @ state @ su.matrix.T  # rows: Alice labels, cols: Bob labels
+    both = schur_conjugate(state, d, n)  # rows: Alice labels, cols: Bob labels
     report = ConcentrationReport(
         n=n, outcome_weights={}, off_diagonal_mass=0.0, schmidt_values={}
     )

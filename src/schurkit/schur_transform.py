@@ -18,6 +18,7 @@ from .combinatorics import (
     dim_q,
     enumerate_gz,
     enumerate_partitions,
+    gz_weight,
     normalize,
     partition_str,
     yy_index,
@@ -139,6 +140,101 @@ def schur_unitary(d: int, n: int):
     index p via yy_index; yy_unindex recovers the raw record.
     """
     return _schur_pair(d, n)
+
+
+@lru_cache(maxsize=None)
+def _weight_layout(d: int, n: int):
+    """Block structure of S under the diagonal torus of U(d).
+
+    Every row of S is a weight vector: it is supported on the computational
+    indices whose letter content equals the GZ weight of its pattern.  Rows
+    are grouped by that weight and columns by their letter content (both
+    keyed by the sorted letters, an n-vector), and S is checked to be exactly
+    zero outside the weight blocks.  Weights are ordered by block size, so
+    each size class is one contiguous run of equal square blocks.
+
+    Returns (cols, pos, classes): the computational columns in block order,
+    pos[r] the block-order position of codec row r, and (start, blocks) per
+    size class with blocks a (k, m, m) stack; all arrays are read-only.
+    """
+    su, codec = schur_unitary(d, n)
+    s = su.matrix
+    row_keys = np.zeros((len(codec), n), dtype=np.intp)
+    r = 0
+    for lam in enumerate_partitions(d, n):
+        for pattern in enumerate_gz(lam, d):
+            row_keys[r : r + dim_p(lam)] = np.repeat(np.arange(d), gz_weight(pattern))
+            r += dim_p(lam)
+    digits = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+    col_keys = np.sort(digits, axis=1)
+    keys, row_w, sizes = np.unique(
+        row_keys, axis=0, return_inverse=True, return_counts=True
+    )
+    col_keys, col_w, col_sizes = np.unique(
+        col_keys, axis=0, return_inverse=True, return_counts=True
+    )
+    if not (np.array_equal(keys, col_keys) and np.array_equal(sizes, col_sizes)):
+        raise ValueError(f"row and column weight classes of S({d},{n}) differ")
+    row_w, col_w = row_w.reshape(-1), col_w.reshape(-1)
+    nz_rows, nz_cols = np.nonzero(s)
+    if np.any(row_w[nz_rows] != col_w[nz_cols]):
+        raise ValueError(f"S({d},{n}) is nonzero outside its weight blocks")
+    by_size = np.argsort(sizes, kind="stable")
+    rank = np.argsort(by_size)
+    rows = np.argsort(rank[row_w], kind="stable")
+    cols = np.argsort(rank[col_w], kind="stable")
+    classes = []
+    start = 0
+    for m, k in zip(*np.unique(sizes[by_size], return_counts=True)):
+        stop = start + k * m
+        rr = rows[start:stop].reshape(k, m)
+        cc = cols[start:stop].reshape(k, m)
+        classes.append((start, s[rr[:, :, None], cc[:, None, :]]))
+        start = stop
+    pos = np.argsort(rows)
+    for a in [cols, pos] + [blocks for _, blocks in classes]:
+        a.flags.writeable = False
+    return cols, pos, classes
+
+
+def _apply_blocks(classes, y: np.ndarray) -> np.ndarray:
+    """blockdiag(S) @ y for y in block order (rows) and any columns; a
+    complex y is multiplied through its float64 view, so every product is
+    a real GEMM."""
+    y = np.ascontiguousarray(y)
+    flat = y.view(np.float64)
+    flat = flat.reshape(flat.shape[0], -1)
+    out = np.empty_like(flat)
+    for start, blocks in classes:
+        k, m, _ = blocks.shape
+        stop = start + k * m
+        np.matmul(
+            blocks,
+            flat[start:stop].reshape(k, m, -1),
+            out=out[start:stop].reshape(k, m, -1),
+        )
+    return out.view(y.dtype)
+
+
+def schur_conjugate(x, d: int, n: int) -> np.ndarray:
+    """S x S^T in codec order (S real) for a real or complex (d^n x d^n) x.
+
+    Works on the weight blocks of S: one batched product per block size on
+    each side, O(D * sum_w D_w^2) work for D = d^n and block sizes D_w,
+    instead of the D^3 of a dense product.
+    """
+    x = np.asarray(x)
+    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
+    dim = d**n
+    if x.shape != (dim, dim):
+        raise ValueError(f"expected a ({dim} x {dim}) matrix, got {x.shape}")
+    cols, pos, classes = _weight_layout(d, n)
+    # with x_w = x[cols][:, cols] and B = blockdiag(S) in block order, each
+    # product acts on rows only: B (B x_w)^T = (B x_w B^T)^T, and the row
+    # gathers and transposed row gathers below put rows and columns in place
+    half = _apply_blocks(classes, x[cols])
+    full_t = _apply_blocks(classes, half.T[cols])
+    return full_t[pos].T[pos]
 
 
 def measure_schur(state, d: int, n: int, granularity: str = "lambda") -> dict:

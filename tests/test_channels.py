@@ -97,6 +97,12 @@ def test_channel_normal_form_rejects_non_isometry():
         channel_normal_form(np.eye(3), 2)
 
 
+def test_channel_normal_form_checks_the_dense_cap_first():
+    # (db*de)^7 = 16384 > 4096: refused before the 2 GB kron(sb, se) exists
+    with pytest.raises(ValueError, match="exceeds cap"):
+        channel_normal_form(DEPHASING, 7)
+
+
 def test_dephasing_n2_coefficients_match_dense_conjugation():
     """Every coefficient is an inner product of the densely conjugated
     isometry with an explicit (invariant vector x basis) column, recomputed

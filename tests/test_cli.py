@@ -134,6 +134,12 @@ def test_gpe_rejects_oversized_group_algebra(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_channel_rejects_oversized_output_space(capsys):
+    code, _, err = run(capsys, "channel", "--spec", "dephasing", "--n", "7")
+    assert code == 1
+    assert "error:" in err
+
+
 def test_usage_error_exits_64(capsys):
     assert run(capsys, "bogus")[0] == 64
     assert run(capsys, "dims", "--d", "2")[0] == 64  # missing --n

@@ -14,7 +14,7 @@ from schurkit.duality_checks import (
 from schurkit.permutations import all_permutations, compose
 
 
-@pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (3, 3), (3, 4)])
+@pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (3, 3), (3, 4), (2, 10), (32, 2)])
 def test_simultaneous_block_diagonalization(d, n, rng):
     for _ in range(4):
         u = haar_unitary(rng, d)
@@ -28,6 +28,26 @@ def test_simultaneous_block_diagonalization(d, n, rng):
 def test_verify_rejects_non_unitary():
     with pytest.raises(ValueError):
         verify_block_diagonal(np.ones((2, 2)), (1, 2), 2, 2)
+
+
+def test_verify_rejects_wrong_dimension_unitary(rng):
+    with pytest.raises(ValueError):
+        verify_block_diagonal(haar_unitary(rng, 3), (2, 1, 3), 2, 3)
+
+
+@pytest.mark.parametrize("s", [(1, 1, 3), (0, 1, 2), (2, 3, 4), (1, 2), (1, 2, 3, 4)])
+def test_non_permutations_are_rejected(s):
+    with pytest.raises(ValueError):
+        verify_block_diagonal(np.eye(2), s, 2, 3)
+    with pytest.raises(ValueError):
+        rep_matrix_p((2, 1), s, d=2, n=3)
+
+
+@pytest.mark.parametrize("lam", [(2, 1), (1, 1, 1, 1)])
+def test_rep_matrix_q_rejects_foreign_partitions(lam):
+    # (2, 1) is not a partition of 4; (1, 1, 1, 1) has more than d = 2 rows
+    with pytest.raises(ValueError):
+        rep_matrix_q(lam, np.eye(2), 2, 4)
 
 
 def test_rep_matrix_p_is_youngs_orthogonal_form():

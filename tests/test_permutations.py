@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from schurkit.permutations import (
     all_permutations,
+    check_permutation,
     compose,
     conjugacy_classes,
     cycle_type,
@@ -65,3 +68,10 @@ def test_conjugacy_class_sizes():
         assert sum(classes.values()) == math.factorial(n)
         for s in all_permutations(n):
             assert cycle_type(s) in classes
+
+
+def test_check_permutation():
+    assert check_permutation(np.array([2, 3, 1]), 3) == (2, 3, 1)
+    for s, n in [((1, 1, 3), 3), ((0, 1, 2), 3), ((2, 3, 4), 3), ((1, 2), 3), ((1.5, 2), 2)]:
+        with pytest.raises(ValueError):
+            check_permutation(s, n)

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 from conftest import haar_unitary, random_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schurkit.combinatorics import dim_p, dim_q, enumerate_partitions
+from schurkit import schur_transform
+from schurkit.combinatorics import (
+    dim_p,
+    dim_q,
+    enumerate_gz,
+    enumerate_partitions,
+    gz_weight,
+)
+from schurkit.operators import DenseOperator
 from schurkit.schur_transform import (
     SchurLabelCodec,
     central_projector_oracle,
@@ -10,6 +20,7 @@ from schurkit.schur_transform import (
     dfs_decode,
     dfs_encode,
     measure_schur,
+    schur_conjugate,
     schur_unitary,
 )
 
@@ -107,3 +118,63 @@ def test_dense_cap_blocks_large_instances(monkeypatch):
     assert dense_cap() == 8
     with pytest.raises(ValueError):
         schur_unitary(2, 11)
+
+
+@pytest.mark.parametrize(
+    "d,n", [(1, 3), (3, 1), (2, 4), (2, 10), (4, 5), (10, 3), (32, 2)]
+)
+def test_schur_conjugate_matches_dense_product(d, n, rng):
+    s = schur_unitary(d, n)[0].matrix
+    dim = d**n
+    real = rng.normal(size=(dim, dim))
+    for x in (real, real + 1j * rng.normal(size=(dim, dim))):
+        assert np.abs(schur_conjugate(x, d, n) - s @ x @ s.T).max() < 1e-12
+
+
+def test_schur_conjugate_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        schur_conjugate(np.eye(4), 2, 3)
+    with pytest.raises(ValueError):
+        schur_conjugate(np.ones((8, 4)), 2, 3)
+
+
+def test_weight_layout_rejects_entry_outside_weight_blocks(monkeypatch):
+    su, codec = schur_unitary(2, 3)
+    bad = su.matrix.copy()
+    # row 0 is supported on one letter content; the complementary index
+    # (all digits flipped) swaps the letter counts, so it lies in another
+    # weight block
+    c0 = int(np.flatnonzero(bad[0])[0])
+    bad[0, 7 - c0] = 1e-3
+    monkeypatch.setattr(
+        schur_transform, "_schur_pair", lambda d, n: (DenseOperator(bad), codec)
+    )
+    with pytest.raises(ValueError, match="outside its weight blocks"):
+        schur_transform._weight_layout.__wrapped__(2, 3)
+
+
+def _small_cells():
+    return st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.integers(1, max(d for d in range(1, 257) if d**n <= 256)), st.just(n)
+        )
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_cells())
+def test_schur_transform_structure(cell):
+    d, n = cell
+    su, codec = schur_unitary(d, n)
+    s = su.matrix
+    assert np.abs(s @ s.T - np.eye(d**n)).max() < 1e-12
+    # S vanishes outside its weight blocks: a row's GZ weight must equal
+    # the letter content of every computational index it touches
+    digits = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+    content = (digits[:, :, None] == np.arange(d)).sum(axis=1)
+    for r in range(d**n):
+        lam, qi, pi = codec.label(r)
+        weight = np.array(gz_weight(enumerate_gz(lam, d)[qi - 1]))
+        outside = np.any(content != weight, axis=1)
+        assert not np.any(s[r, outside])
+        assert codec.index(*codec.label(r)) == r
