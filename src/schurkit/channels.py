@@ -14,7 +14,7 @@ from .characters import character, young_orthogonal
 from .combinatorics import dim_p, dim_q, enumerate_partitions, normalize
 from .operators import collective_unitary
 from .permutations import all_permutations, conjugacy_classes
-from .schur_transform import _check_cap, schur_unitary
+from .schur_transform import require_dense, schur_unitary
 
 
 def kronecker(lam_a, lam_b, lam_c) -> int:
@@ -94,26 +94,32 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
     (lamA, lamB, lamE) block lies in the span of the diagonal-invariant
     vectors; the returned coefficients are the expansion in that basis and
     reconstruct the conjugated isometry exactly (residual reported).
+
+    u_n^{tensor n} is held as a (db^n, de^n, da^n) array and conjugated by
+    one Schur transform per axis; each block's coefficients are one
+    projection onto its stacked invariant vectors.
     """
     u_n = np.asarray(u_n, dtype=complex)
     if u_n.shape != (db * de, da):
         raise ValueError("isometry must map C^da into C^db tensor C^de")
     if np.abs(u_n.conj().T @ u_n - np.eye(da)).max() > 1e-10:
         raise ValueError("input is not an isometry")
-    _check_cap((db * de) ** n)
-    _check_cap(da**n)
+    require_dense((db * de) ** n, da**n)
     big = collective_unitary(u_n, n)
     # reorder output factors from (b1 e1 ... bn en) to (b1..bn e1..en)
     big = big.reshape((db, de) * n + (da**n,))
     big = np.transpose(big, _interleave(n) + [2 * n])
-    big = big.reshape(db**n * de**n, da**n)
+    big = big.reshape(db**n, de**n, da**n)
     sa, codec_a = schur_unitary(da, n)
     sb, codec_b = schur_unitary(db, n)
     se, codec_e = schur_unitary(de, n)
-    conj = np.kron(sb.matrix, se.matrix) @ big @ sa.matrix.T
+    # (Sb tensor Se) big Sa^T, one Schur transform per axis
+    conj = np.einsum(
+        "bi,ej,ak,ijk->bea", sb.matrix, se.matrix, sa.matrix, big, optimize=True
+    )
     coefficients = {}
     bases = {}
-    recon = np.zeros_like(conj)
+    residual = 0.0
     for lam_a in enumerate_partitions(da, n):
         sl_a = codec_a.block_slice(lam_a)
         ka, nqa = dim_p(lam_a), dim_q(lam_a, da)
@@ -123,42 +129,22 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
             for lam_e in enumerate_partitions(de, n):
                 sl_e = codec_e.block_slice(lam_e)
                 ke, nqe = dim_p(lam_e), dim_q(lam_e, de)
-                # tensor over the joint output rows and input cols
-                blk = conj[:, sl_a].reshape(
-                    sb.matrix.shape[0], se.matrix.shape[0], nqa, ka
-                )[sl_b.start : sl_b.stop, sl_e.start : sl_e.stop, :, :]
-                t = blk.reshape(nqb, kb, nqe, ke, nqa, ka)
-                if not np.abs(t).max() > 1e-14:
-                    continue
-                key3 = (lam_a, lam_b, lam_e)
-                if key3 not in bases:
-                    bases[key3] = invariant_basis(lam_a, lam_b, lam_e)
-                vecs = bases[key3]
-                if not vecs:
-                    continue
-                for qb in range(nqb):
-                    for qe in range(nqe):
-                        for qa in range(nqa):
-                            # permutation part as a vector over (pA, pB, pE)
-                            w = np.transpose(t[qb, :, qe, :, qa, :], (2, 0, 1)).reshape(-1)
-                            for alpha, v in enumerate(vecs):
-                                c = complex(v @ w)
-                                if abs(c) > 1e-14:
-                                    coefficients[
-                                        (lam_a, qa + 1, lam_b, lam_e, qb + 1, qe + 1, alpha)
-                                    ] = c
-                                rec = c * v.reshape(ka, kb, ke)
-                                t_rec = np.transpose(rec, (1, 2, 0))
-                                recon_blk = recon[:, sl_a].reshape(
-                                    sb.matrix.shape[0], se.matrix.shape[0], nqa, ka
-                                )
-                                recon_blk[
-                                    sl_b.start + qb * kb : sl_b.start + (qb + 1) * kb,
-                                    sl_e.start + qe * ke : sl_e.start + (qe + 1) * ke,
-                                    qa,
-                                    :,
-                                ] += t_rec
-    residual = float(np.abs(conj - recon).max())
+                t = conj[sl_b, sl_e, sl_a].reshape(nqb, kb, nqe, ke, nqa, ka)
+                # rows (qB, qE, qA), columns the permutation part (pA, pB, pE)
+                w = t.transpose(0, 2, 4, 5, 1, 3).reshape(nqb * nqe * nqa, -1)
+                if np.abs(w).max() > 1e-14:
+                    key3 = (lam_a, lam_b, lam_e)
+                    if key3 not in bases:
+                        bases[key3] = invariant_basis(lam_a, lam_b, lam_e)
+                    v = np.array(bases[key3]).reshape(-1, w.shape[1])
+                    c = w @ v.T
+                    w = w - c @ v
+                    c = c.reshape(nqb, nqe, nqa, len(v))
+                    for qb, qe, qa, alpha in np.argwhere(np.abs(c) > 1e-14).tolist():
+                        coefficients[
+                            (lam_a, qa + 1, lam_b, lam_e, qb + 1, qe + 1, alpha)
+                        ] = complex(c[qb, qe, qa, alpha])
+                residual = max(residual, float(np.abs(w).max()))
     # isometry relation: for each lamA, the coefficient matrix
     # [rows (lamB,lamE,qB,qE,alpha)] x [cols qA] has V dagger V = dim_p(lamA) I
     iso_res = 0.0

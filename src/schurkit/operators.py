@@ -84,7 +84,7 @@ def permute_columns_like(matrix: np.ndarray, s, d: int) -> np.ndarray:
     dim = d ** len(s)
     if matrix.shape[1] != dim:
         raise ValueError("column count must be d^n")
-    return matrix[:, _image_indices(s, d)]
+    return np.take(matrix, _image_indices(s, d), axis=1)
 
 
 def collective_unitary(u: np.ndarray, n: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from .combinatorics import (
     schur_poly,
 )
 from .operators import DenseOperator, collective_unitary
-from .schur_transform import dense_cap, schur_conjugate, schur_unitary
+from .schur_transform import schur_conjugate, schur_unitary
 
 
 def entropy(p) -> float:
@@ -295,8 +295,6 @@ def concentrate(psi, n: int) -> ConcentrationReport:
         raise ValueError("psi must live on C^d x C^d")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("psi must be normalized")
-    if d ** (2 * n) > dense_cap() ** 2:
-        raise ValueError("instance too large for the dense path")
     _, codec = schur_unitary(d, n)
     # reorder psi^{tensor n} from (a1 b1 ... an bn) to (a1..an b1..bn)
     state = collective_unitary(psi.reshape(1, -1), n).reshape((d, d) * n)

@@ -32,16 +32,20 @@ DEFAULT_DENSE_CAP = 4096
 
 
 def dense_cap() -> int:
-    """The largest dense dimension d^n the package will materialize;
-    overridable through the SCHURKIT_DENSE_CAP environment variable."""
+    """The largest dimension of any dense array the package will
+    materialize; overridable through the SCHURKIT_DENSE_CAP environment
+    variable."""
     return int(os.environ.get("SCHURKIT_DENSE_CAP", DEFAULT_DENSE_CAP))
 
 
-def _check_cap(dim: int) -> None:
+def require_dense(*shape: int) -> None:
+    """Raise ValueError unless every dimension of a dense array of this
+    shape is at most dense_cap(); read on every call, so a lowered cap also
+    holds for transforms that are already cached."""
     cap = dense_cap()
-    if dim > cap:
+    if max(shape) > cap:
         raise ValueError(
-            f"dense dimension {dim} exceeds cap {cap}; "
+            f"dense shape {shape} exceeds cap {cap}; "
             "raise SCHURKIT_DENSE_CAP to override"
         )
 
@@ -99,9 +103,6 @@ class SchurLabelCodec:
 
 @lru_cache(maxsize=None)
 def _schur_pair(d: int, n: int):
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
-    _check_cap(d**n)
     codec = SchurLabelCodec(d, n)
     # per growing Young-Yamanouchi path, the map from the computational
     # basis of the first k qudits into the GZ basis of the path's top shape
@@ -138,7 +139,12 @@ def schur_unitary(d: int, n: int):
     The multiplicity record of the cascade (which row received a box at each
     step) is a Young-Yamanouchi path and is always compressed to the path
     index p via yy_index; yy_unindex recovers the raw record.
+
+    The dense guard runs on every call, before the cache is consulted.
     """
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
+    require_dense(d**n)
     return _schur_pair(d, n)
 
 
@@ -275,8 +281,8 @@ def central_projector_oracle(lam, d: int, n: int) -> DenseOperator:
     verification oracle for the cascade.
     """
     lam = normalize(lam)
-    _check_cap(d**n)
     dim = d**n
+    require_dense(dim)
     acc = np.zeros((dim, dim))
     for s in all_permutations(n):
         chi = character(lam, cycle_type(s))
@@ -286,28 +292,43 @@ def central_projector_oracle(lam, d: int, n: int) -> DenseOperator:
     return DenseOperator(acc, row_labels=list(range(dim)), col_labels=list(range(dim)))
 
 
+def _dfs_sector(lam, q, vec, axis: int, d: int, n: int):
+    """The dim_p(lam) x d^n Schur rows of sector (lam, q) and vec as a
+    complex vector of length rows.shape[axis].
+
+    Raises ValueError unless lam is a partition of n with at most d rows,
+    q is an index in [1, dim_q(lam)] or one of lam's GZ patterns, and vec
+    has that length.
+    """
+    lam = normalize(lam)
+    if lam not in enumerate_partitions(d, n):
+        raise ValueError(f"{lam} is not a partition of {n} with at most {d} rows")
+    patterns = enumerate_gz(lam, d)
+    qi = q if isinstance(q, (int, np.integer)) else patterns.index(tuple(q)) + 1
+    if not 1 <= qi <= len(patterns):
+        raise ValueError(f"q must lie in 1..{len(patterns)} for {lam}, got {qi}")
+    u, codec = schur_unitary(d, n)
+    start = codec.index(lam, qi, 1)
+    rows = u.matrix[start : start + dim_p(lam)]
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    if vec.shape[0] != rows.shape[axis]:
+        raise ValueError(f"vector length must be {rows.shape[axis]}")
+    return rows, vec
+
+
 def dfs_encode(lam, q, p_state, d: int, n: int) -> np.ndarray:
     """Embed a state over the permutation module P_lam into (C^d)^n at a
     fixed unitary-register basis vector (GZ pattern q).
 
     q may be a GZ pattern (chain) or a 1-based index into enumerate_gz.
     """
-    lam = normalize(lam)
-    qi = q if isinstance(q, int) else enumerate_gz(lam, d).index(tuple(q)) + 1
-    p_state = np.asarray(p_state, dtype=complex).reshape(-1)
-    if p_state.shape[0] != dim_p(lam):
-        raise ValueError("p_state length must be dim_p(lam)")
-    u, codec = schur_unitary(d, n)
-    rows = [codec.index(lam, qi, pi) for pi in range(1, dim_p(lam) + 1)]
-    return u.matrix[rows, :].conj().T @ p_state
+    rows, p_state = _dfs_sector(lam, q, p_state, 0, d, n)
+    # S is real, so rows^dagger p_state is p_state @ rows
+    return p_state @ rows
 
 
 def dfs_decode(lam, q, state, d: int, n: int) -> np.ndarray:
     """Inverse of dfs_encode: project onto the (lam, q) rows and return the
     P_lam-register amplitudes."""
-    lam = normalize(lam)
-    qi = q if isinstance(q, int) else enumerate_gz(lam, d).index(tuple(q)) + 1
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    u, codec = schur_unitary(d, n)
-    rows = [codec.index(lam, qi, pi) for pi in range(1, dim_p(lam) + 1)]
-    return u.matrix[rows, :] @ state
+    rows, state = _dfs_sector(lam, q, state, 1, d, n)
+    return rows @ state

@@ -1,13 +1,18 @@
 """The symmetric-group quantum Fourier transform obtained by restricting
-the Schur transform to the group-algebra embedding, and generalized phase
+the Schur transform to the group algebra, and generalized phase
 estimation: measuring the partition label of a state with a group-algebra
 ancilla and controlled qudit permutations instead of the Schur unitary.
+
+The group algebra embeds into (C^n)^{tensor n} as the words with n
+distinct letters, the all-ones torus weight, so the Fourier transform is
+the one n! x n! weight block of S(n, n), read from the Schur transform's
+weight layout.
 
 Both GPE entry points share one ancilla pipeline.  The controlled
 permutation sum_s |s><s| tensor P(s) is applied as an index gather per
 ancilla row, so the joint register is an n! x d^n array and nothing larger
-is formed.  GPE needs d^n <= dense_cap() for the system and n^n <=
-dense_cap() for the group-algebra embedding.
+is formed.  Its guard is require_dense(n!, d^n); the Fourier block's n^n
+is checked by schur_unitary(n, n).
 """
 
 from __future__ import annotations
@@ -18,25 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import young_orthogonal
-from .combinatorics import dim_p, enumerate_gz, enumerate_partitions, gz_weight
+from .combinatorics import dim_p, enumerate_partitions
 from .operators import DenseOperator, _image_indices
 from .permutations import all_permutations, compose, inverse, perm_index, transposition
-from .schur_transform import dense_cap, schur_unitary
-
-
-def group_algebra_embedding(n: int) -> np.ndarray:
-    """Indices embedding |s> -> |s(1), ..., s(n)> into (C^n)^{tensor n}.
-
-    Entry k is the computational index of the image of the k-th permutation
-    in all_permutations(n) lexicographic order.
-    """
-    out = np.empty(math.factorial(n), dtype=np.intp)
-    for k, s in enumerate(all_permutations(n)):
-        idx = 0
-        for v in s:
-            idx = idx * n + (v - 1)
-        out[k] = idx
-    return out
+from .schur_transform import _weight_layout, require_dense, schur_unitary
 
 
 @dataclass
@@ -66,27 +56,23 @@ def sn_qft_from_schur(n: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n**n > dense_cap():
-        raise ValueError("n too large for the dense group-algebra embedding")
-    su, codec = schur_unitary(n, n)
-    cols = group_algebra_embedding(n)
-    rows = []
+    _, codec = schur_unitary(n, n)
+    _, pos, classes = _weight_layout(n, n)
+    # the weight (1, ..., 1) block is the only one of size n!, the largest;
+    # its rows are in codec order and its columns, the words with distinct
+    # letters in increasing index order, in all_permutations order
+    first, blocks = classes[-1]
+    size = math.factorial(n)
+    assert blocks.shape == (1, size, size)
+    labels = [codec.label(r) for r in np.flatnonzero(pos >= first)]
     layout = FourierBlockLayout(n=n)
     start = 0
     for lam in enumerate_partitions(n, n):
-        patterns = enumerate_gz(lam, n)
-        multiplicity = [
-            qi + 1 for qi, g in enumerate(patterns) if gz_weight(g) == (1,) * n
-        ]
-        assert len(multiplicity) == dim_p(lam)
-        for qi in multiplicity:
-            for pi in range(1, dim_p(lam) + 1):
-                rows.append(codec.index(lam, qi, pi))
         layout.blocks.append((lam, slice(start, start + dim_p(lam) ** 2)))
         start += dim_p(lam) ** 2
-    f = su.matrix[np.ix_(rows, cols)]
-    labels = [codec.label(r) for r in rows]
-    op = DenseOperator(f, row_labels=labels, col_labels=list(all_permutations(n)))
+    op = DenseOperator(
+        blocks[0].copy(), row_labels=labels, col_labels=list(all_permutations(n))
+    )
     return op, layout
 
 
@@ -190,8 +176,7 @@ def _ancilla_pipeline(state, d: int, n: int):
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape[0] != d**n:
         raise ValueError("state length must be d^n")
-    if d**n > dense_cap():
-        raise ValueError("instance too large")
+    require_dense(math.factorial(n), d**n)
     f, layout = sn_qft_from_schur(n)
     # dest[k, i] = index of P(s_k)|i>
     dest = np.stack([_image_indices(s, d) for s in all_permutations(n)])

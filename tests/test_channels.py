@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import haar_unitary
 
 from schurkit.channels import (
     channel_normal_form,
@@ -103,17 +104,23 @@ def test_channel_normal_form_checks_the_dense_cap_first():
         channel_normal_form(DEPHASING, 7)
 
 
-def test_dephasing_n2_coefficients_match_dense_conjugation():
+def _assert_matches_dense_conjugation(u_n, n):
     """Every coefficient is an inner product of the densely conjugated
     isometry with an explicit (invariant vector x basis) column, recomputed
     here from scratch."""
     from schurkit.schur_transform import schur_unitary
 
-    nf = channel_normal_form(DEPHASING, 2)
-    su, codec = schur_unitary(2, 2)
-    big = np.kron(DEPHASING, DEPHASING)
-    # reorder outputs (b1 e1 b2 e2) -> (b1 b2 e1 e2)
-    big = big.reshape(2, 2, 2, 2, 4).transpose(0, 2, 1, 3, 4).reshape(16, 4)
+    nf = channel_normal_form(u_n, n)
+    assert nf.reconstruction_residual < 1e-12
+    assert nf.isometry_residual < 1e-12
+    su, codec = schur_unitary(2, n)
+    dim = 2**n
+    big = np.array([[1.0 + 0j]])
+    for _ in range(n):
+        big = np.kron(big, u_n)
+    # reorder outputs (b1 e1 ... bn en) -> (b1..bn e1..en)
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)) + [2 * n]
+    big = big.reshape((2,) * 2 * n + (dim,)).transpose(order).reshape(dim * dim, dim)
     conj = np.kron(su.matrix, su.matrix) @ big @ su.matrix.T
     for key, c in nf.coefficients.items():
         lam_a, qa, lam_b, lam_e, qb, qe, alpha = key
@@ -124,9 +131,19 @@ def test_dephasing_n2_coefficients_match_dense_conjugation():
         for pa in range(ka):
             for pb in range(kb):
                 for pe in range(ke):
-                    row = codec.index(lam_b, qb, pb + 1) * 4 + codec.index(
+                    row = codec.index(lam_b, qb, pb + 1) * dim + codec.index(
                         lam_e, qe, pe + 1
                     )
                     col = codec.index(lam_a, qa, pa + 1)
                     got += v3[pa, pb, pe] * conj[row, col]
         assert abs(got - c) < 1e-12
+
+
+def test_dephasing_n2_coefficients_match_dense_conjugation():
+    _assert_matches_dense_conjugation(DEPHASING, 2)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_random_isometry_coefficients_match_dense_conjugation(n):
+    u_n = haar_unitary(np.random.default_rng(n), 4)[:, :2]
+    _assert_matches_dense_conjugation(u_n, n)

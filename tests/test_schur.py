@@ -12,6 +12,7 @@ from schurkit.combinatorics import (
     enumerate_partitions,
     gz_weight,
 )
+from schurkit.duality_checks import verify_block_diagonal
 from schurkit.operators import DenseOperator
 from schurkit.schur_transform import (
     SchurLabelCodec,
@@ -118,6 +119,43 @@ def test_dense_cap_blocks_large_instances(monkeypatch):
     assert dense_cap() == 8
     with pytest.raises(ValueError):
         schur_unitary(2, 11)
+
+
+def test_lowered_cap_rejects_cached_transforms(monkeypatch, rng):
+    schur_unitary(2, 4)  # built and cached under the default cap
+    monkeypatch.setenv("SCHURKIT_DENSE_CAP", "8")
+    with pytest.raises(ValueError, match="exceeds cap"):
+        schur_unitary(2, 4)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        verify_block_diagonal(np.eye(2), (2, 1, 3, 4), 2, 4)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        measure_schur(random_state(rng, 16), 2, 4)
+
+
+@pytest.mark.parametrize(
+    "lam,q",
+    [
+        ((2, 1), 0),  # q below range
+        ((2, 1), -1),
+        ((2, 1), 3),  # dim_q((2, 1), 2) = 2
+        ((1, 1, 1), 1),  # three rows at d = 2
+        ((3, 1), 1),  # not a partition of n = 3
+        ((2, 1), ((2,), (3,))),  # a GZ pattern of another shape
+    ],
+    ids=["q0", "q-1", "q3", "three-rows", "size-4", "foreign-pattern"],
+)
+def test_dfs_codec_rejects_foreign_sectors(lam, q):
+    with pytest.raises(ValueError):
+        dfs_encode(lam, q, [1, 0], 2, 3)
+    with pytest.raises(ValueError):
+        dfs_decode(lam, q, np.ones(8), 2, 3)
+
+
+def test_dfs_codec_rejects_wrong_vector_lengths():
+    with pytest.raises(ValueError):
+        dfs_encode((2, 1), 1, [1, 0, 0], 2, 3)
+    with pytest.raises(ValueError):
+        dfs_decode((2, 1), 1, np.ones(4), 2, 3)
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from conftest import haar_unitary, random_state
 
-from schurkit.combinatorics import dim_p, enumerate_partitions
+from schurkit.combinatorics import dim_p, enumerate_partitions, gz_weight
 from schurkit.permutations import all_permutations, compose, inverse
-from schurkit.schur_transform import central_projector_oracle, measure_schur
+from schurkit.schur_transform import (
+    central_projector_oracle,
+    measure_schur,
+    schur_unitary,
+)
 from schurkit.sn_fourier import (
     gpe_instrument,
     gpe_measure,
-    group_algebra_embedding,
     left_action,
     right_action,
     sn_qft_from_schur,
@@ -36,10 +39,36 @@ def test_qft_is_unitary_n5():
     assert f.unitarity_residual() < 1e-10
 
 
-def test_group_algebra_embedding_is_injective():
-    for n in (2, 3, 4):
-        idx = group_algebra_embedding(n)
-        assert len(set(idx.tolist())) == math.factorial(n)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_qft_is_the_embedded_group_algebra_block_of_schur(n):
+    """Reference built from scratch: the rows of S(n, n) whose GZ weight is
+    (1, ..., 1), in codec order, and the columns |s(1) ... s(n)> of the
+    permutations in lexicographic order."""
+    su, codec = schur_unitary(n, n)
+    rows = [
+        r
+        for r, (lam, qi, _) in enumerate(codec.triples)
+        if gz_weight(codec.gz_pattern(lam, qi)) == (1,) * n
+    ]
+    perms = all_permutations(n)
+    cols = [sum((v - 1) * n ** (n - 1 - k) for k, v in enumerate(s)) for s in perms]
+    assert len(set(cols)) == math.factorial(n)
+    expected = su.matrix[np.ix_(rows, cols)]
+    f, layout = sn_qft_from_schur(n)
+    assert f.matrix.dtype == expected.dtype
+    assert np.array_equal(f.matrix, expected)
+    assert f.row_labels == [codec.label(r) for r in rows]
+    assert f.col_labels == list(perms)
+    sizes = [dim_p(lam) ** 2 for lam in enumerate_partitions(n, n)]
+    starts = np.cumsum([0] + sizes).tolist()
+    assert layout.blocks == [
+        (lam, slice(a, a + k))
+        for lam, a, k in zip(enumerate_partitions(n, n), starts, sizes)
+    ]
+    # the returned matrix is the caller's own: writing to it leaves the
+    # cached weight layout intact
+    f.matrix[:] = 0.0
+    assert np.array_equal(sn_qft_from_schur(n)[0].matrix, expected)
 
 
 def test_left_right_actions_commute_and_compose():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurkit.combinatorics import (
     add_box,
@@ -7,8 +9,12 @@ from schurkit.combinatorics import (
     enumerate_gz,
     enumerate_partitions,
     gz_weight,
+    normalize,
+    pad,
 )
 from schurkit.wigner import (
+    _valid_cols,
+    _valid_rows,
     cg_block,
     cg_output_blocks,
     is_structural_zero,
@@ -48,6 +54,34 @@ def test_that_matrix_is_orthogonal(d):
                 except ValueError:
                     continue
                 assert t.unitarity_residual() < 1e-12
+
+
+@st.composite
+def _that_matrix_args(draw):
+    """mu with at most d rows and |mu| <= 12, and mu'' with at most d - 1
+    rows drawn around the interlacing range of mu, so that most pairs are
+    consistent and some are not."""
+    d = draw(st.integers(1, 6))
+    size = draw(st.integers(0, 12))
+    mu = draw(st.sampled_from(enumerate_partitions(d, size) if size else [()]))
+    rows = pad(mu, d)
+    mupp = [draw(st.integers(rows[i + 1], rows[i] + 1)) for i in range(d - 1)]
+    return mu, normalize(sorted(mupp, reverse=True)), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(_that_matrix_args())
+def test_that_matrix_is_orthogonal_property(args):
+    mu, mupp, d = args
+    try:
+        t = that_matrix(mu, mupp, d).matrix
+    except ValueError:
+        return  # no consistent branch for this pair
+    rows = [j - 1 for j in _valid_rows(mu, mupp, d)]
+    cols = [jp for jp, _ in _valid_cols(mu, mupp, d)]
+    valid = t[np.ix_(rows, cols)]
+    assert np.abs(valid.T @ valid - np.eye(len(rows))).max() < 1e-12
+    assert np.abs(t.T @ t - np.eye(d)).max() < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3])
