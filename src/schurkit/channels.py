@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,20 +38,22 @@ def phi_lambda(lam) -> np.ndarray:
     """The unique (up to phase) vector in P_lam tensor P_lam invariant under
     the diagonal action: (1/sqrt(dim_p)) sum_p |p, p>."""
     k = dim_p(normalize(lam))
-    v = np.zeros(k * k)
-    for p in range(k):
-        v[p * k + p] = 1.0
-    return v / math.sqrt(k)
+    return np.eye(k).reshape(-1) / math.sqrt(k)
 
 
-def invariant_basis(lam_a, lam_b, lam_c) -> list:
+def invariant_basis(lam_a, lam_b, lam_c) -> tuple:
     """Orthonormal basis of the subspace of P_a tensor P_b tensor P_c fixed
     by every diagonal p(s) tensor p(s) tensor p(s); length = kronecker.
 
     Deterministic: the group-average projector's SVD, keeping singular value
     1 directions, each normalized so its first nonzero entry is positive.
+    Cached per triple; the vectors are read-only.
     """
-    lam_a, lam_b, lam_c = normalize(lam_a), normalize(lam_b), normalize(lam_c)
+    return _invariant_basis(normalize(lam_a), normalize(lam_b), normalize(lam_c))
+
+
+@lru_cache(maxsize=None)
+def _invariant_basis(lam_a, lam_b, lam_c) -> tuple:
     n = sum(lam_a)
     ka, kb, kc = dim_p(lam_a), dim_p(lam_b), dim_p(lam_c)
     dim = ka * kb * kc
@@ -68,15 +71,16 @@ def invariant_basis(lam_a, lam_b, lam_c) -> list:
             v = u[:, i]
             lead = np.flatnonzero(np.abs(v) > 1e-12)[0]
             out.append(v if v[lead] > 0 else -v)
+            out[-1].flags.writeable = False
     assert len(out) == kronecker(lam_a, lam_b, lam_c)
-    return out
+    return tuple(out)
 
 
 @dataclass
 class ChannelNormalForm:
     n: int
     coefficients: dict  # (lamA, qA, lamB, lamE, qB, qE, alpha) -> complex
-    bases: dict  # (lamA, lamB, lamE) -> list of invariant vectors
+    bases: dict  # (lamA, lamB, lamE) -> tuple of invariant vectors
     reconstruction_residual: float
     isometry_residual: float
 

@@ -346,21 +346,16 @@ def _cmd_typebounds(args):
 
 def _cmd_qft(args):
     f, layout = sn_qft_from_schur(args.n)
-    rows = [f"lam={partition_str(l)} a={a} b={b}" for l, a, b in _qft_rows(layout)]
+    rows = [
+        f"lam={partition_str(lam)} a={a} b={b}"
+        for lam, _ in layout.blocks
+        for a in range(1, dim_p(lam) + 1)
+        for b in range(1, dim_p(lam) + 1)
+    ]
     cols = ["|" + "".join(str(v) for v in s) + ">" for s in f.col_labels]
     doc = matrix_document(f.matrix, rows, cols)
     residual = f.unitarity_residual()
     return doc, EXIT_OK if residual < args.tol else EXIT_BOUND
-
-
-def _qft_rows(layout):
-    out = []
-    for lam, sl in layout.blocks:
-        k = dim_p(lam)
-        for a in range(1, k + 1):
-            for b in range(1, k + 1):
-                out.append((lam, a, b))
-    return out
 
 
 def _cmd_gpe(args):

@@ -2,10 +2,10 @@
 verification that it simultaneously block-diagonalizes the collective
 unitary action and the qudit-permutation action.
 
-Every conjugation S X S^T here goes through schur_transform.schur_conjugate,
-which works on the torus-weight blocks of S; the leakage of
-verify_block_diagonal is still measured over every off-lam-block entry of
-the full d^n x d^n conjugate.
+Every conjugation S X S^T here goes through schur_transform.schur_conjugate
+on the torus-weight blocks the cascade builds, never the dense S; the
+leakage of verify_block_diagonal is still measured over every off-lam-block
+entry of the full d^n x d^n conjugate.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .operators import (
     permute_columns_like,
 )
 from .permutations import check_permutation
-from .schur_transform import schur_conjugate, schur_unitary
+from .schur_transform import _weight_blocks, schur_conjugate
 
 
 def _require_unitary(u: np.ndarray, d: int, tol: float = 1e-8) -> np.ndarray:
@@ -42,12 +42,11 @@ def rep_matrix_q(lam, u, d: int, n: int) -> DenseOperator:
     if lam not in enumerate_partitions(d, n):
         raise ValueError(f"{lam} is not a partition of {n} with at most {d} rows")
     u = _require_unitary(u, d)
-    _, codec = schur_unitary(d, n)
+    codec = _weight_blocks(d, n).codec
     w = schur_conjugate(collective_unitary(u, n), d, n)
-    rows = [codec.index(lam, qi, 1) for qi in range(1, dim_q(lam, d) + 1)]
-    block = w[np.ix_(rows, rows)]
-    labels = [qi for qi in range(1, dim_q(lam, d) + 1)]
-    return DenseOperator(block, row_labels=labels, col_labels=labels)
+    labels = list(range(1, dim_q(lam, d) + 1))
+    rows = [codec.index(lam, qi, 1) for qi in labels]
+    return DenseOperator(w[np.ix_(rows, rows)], row_labels=labels, col_labels=labels)
 
 
 def rep_matrix_p(lam, s, d: int = None, n: int = None) -> DenseOperator:
@@ -64,13 +63,11 @@ def rep_matrix_p(lam, s, d: int = None, n: int = None) -> DenseOperator:
         d = max(len(lam), 1)
     if len(lam) > d:
         raise ValueError("lam has more than d rows")
-    _, codec = schur_unitary(d, n)
+    codec = _weight_blocks(d, n).codec
     w = schur_conjugate(permutation_action(s, d), d, n)
-    np_ = dim_p(lam)
-    rows = [codec.index(lam, 1, pi) for pi in range(1, np_ + 1)]
-    block = w[np.ix_(rows, rows)]
-    labels = list(range(1, np_ + 1))
-    return DenseOperator(block, row_labels=labels, col_labels=labels)
+    labels = list(range(1, dim_p(lam) + 1))
+    rows = [codec.index(lam, 1, pi) for pi in labels]
+    return DenseOperator(w[np.ix_(rows, rows)], row_labels=labels, col_labels=labels)
 
 
 @dataclass
@@ -95,7 +92,7 @@ def verify_block_diagonal(u, s, d: int, n: int, tol: float = 1e-10) -> IrrepBloc
     tableau contents."""
     u = _require_unitary(u, d, tol=max(tol, 1e-8))
     s = check_permutation(s, n)
-    _, codec = schur_unitary(d, n)
+    codec = _weight_blocks(d, n).codec
     w = schur_conjugate(permute_columns_like(collective_unitary(u, n), s, d), d, n)
     report = IrrepBlockReport(d=d, n=n, leakage=0.0)
     absw = np.abs(w)
@@ -133,7 +130,7 @@ def rho_blocks(rho, n: int) -> dict:
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -1e-10 or abs(rho.trace().real - 1.0) > 1e-10:
         raise ValueError("rho must be a density matrix (PSD, trace 1)")
-    _, codec = schur_unitary(d, n)
+    codec = _weight_blocks(d, n).codec
     w = schur_conjugate(collective_unitary(rho, n), d, n)
     out = {}
     for lam in enumerate_partitions(d, n):

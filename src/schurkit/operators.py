@@ -62,21 +62,10 @@ def permutation_action(s, d: int) -> np.ndarray:
 
 def _image_indices(s, d: int) -> np.ndarray:
     """dest[i] = index of P(s)|i> for every computational index i."""
-    n = len(s)
-    dim = d**n
-    digits = np.empty((n, dim), dtype=np.intp)
-    x = np.arange(dim)
-    for k in range(n - 1, -1, -1):
-        digits[k] = x % d
-        x //= d
+    powers = d ** np.arange(len(s) - 1, -1, -1)
+    digits = np.arange(d ** len(s)) // powers[:, None] % d
     # output digit at position s(k) is the input digit at position k
-    dest = np.zeros(dim, dtype=np.intp)
-    place = np.empty(n, dtype=np.intp)
-    for k in range(n):
-        place[s[k] - 1] = k
-    for k in range(n):
-        dest = dest * d + digits[place[k]]
-    return dest
+    return powers @ digits[np.argsort(s)]
 
 
 def permute_columns_like(matrix: np.ndarray, s, d: int) -> np.ndarray:

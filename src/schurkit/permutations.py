@@ -36,19 +36,8 @@ def inverse(s) -> tuple:
 
 
 def sign(s) -> int:
-    seen = [False] * len(s)
-    sgn = 1
-    for i in range(len(s)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = s[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sgn = -sgn
-    return sgn
+    """(-1)^(n - number of cycles)."""
+    return -1 if (len(s) - len(cycle_type(s))) % 2 else 1
 
 
 def cycle_type(s) -> tuple:

@@ -25,7 +25,7 @@ from .combinatorics import (
     schur_poly,
 )
 from .operators import DenseOperator, collective_unitary
-from .schur_transform import schur_conjugate, schur_unitary
+from .schur_transform import _weight_blocks, schur_conjugate
 
 
 def entropy(p) -> float:
@@ -154,6 +154,8 @@ def typical_mass(r, n: int, delta: float) -> TypicalMassRecord:
     total-variation-style L1 distance delta of spec rho."""
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     r = _sorted_spectrum(r)
     d = len(r)
     mass = 0.0
@@ -186,6 +188,8 @@ class TraceBoundRecord:
 
 def trace_bound_check(lam, r, n: int, d: int = None) -> TraceBoundRecord:
     """Sector mass dim_p * schur_poly against its divergence sandwich."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     r = _sorted_spectrum(r)
     if d is None:
         d = len(r)
@@ -218,16 +222,14 @@ class SpectrumEstimateReport:
     deltas: tuple
     failure_rates: dict  # delta -> empirical Pr[L1 error > delta]
 
-    def l1_error(self, lam) -> float:
-        rbar = normalized_shape(lam, self.n, len(self.r))
-        return sum(abs(a - b) for a, b in zip(rbar, self.r))
-
 
 def spectrum_estimate(
     r, n: int, trials: int, seed: int = 0, deltas=(0.1, 0.2, 0.3, 0.5)
 ) -> SpectrumEstimateReport:
     """Monte Carlo spectrum estimation: sample the partition label from its
     exact distribution and report L1-error failure rates on a delta grid."""
+    if n < 1 or trials < 1:
+        raise ValueError("need n >= 1 and trials >= 1")
     r = _sorted_spectrum(r)
     dist = sector_distribution(r, n)
     lams = list(dist)
@@ -235,17 +237,15 @@ def spectrum_estimate(
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.choice(len(lams), size=trials, p=probs)
-    counts = {lam: 0 for lam in lams}
-    for idx in draws:
-        counts[lams[idx]] += 1
+    counts = dict(zip(lams, np.bincount(draws, minlength=len(lams)).tolist()))
     errors = {
         lam: sum(abs(a - b) for a, b in zip(normalized_shape(lam, n, len(r)), r))
         for lam in lams
     }
-    failure = {}
-    for delta in deltas:
-        bad = sum(counts[lam] for lam in lams if errors[lam] > delta)
-        failure[delta] = bad / trials
+    failure = {
+        delta: sum(counts[lam] for lam in lams if errors[lam] > delta) / trials
+        for delta in deltas
+    }
     return SpectrumEstimateReport(
         r=r,
         n=n,
@@ -295,7 +295,7 @@ def concentrate(psi, n: int) -> ConcentrationReport:
         raise ValueError("psi must live on C^d x C^d")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("psi must be normalized")
-    _, codec = schur_unitary(d, n)
+    codec = _weight_blocks(d, n).codec
     # reorder psi^{tensor n} from (a1 b1 ... an bn) to (a1..an b1..bn)
     state = collective_unitary(psi.reshape(1, -1), n).reshape((d, d) * n)
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
@@ -352,6 +352,8 @@ def compress_rate(r, n: int, rate: float) -> CompressRateRecord:
     and report the discarded mass and its divergence-exponent bound."""
     if rate <= 0:
         raise ValueError("rate must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     r = _sorted_spectrum(r)
     d = len(r)
     eff = rate - d * (d + 1) / 2 * math.log2(n + d) / n

@@ -1,7 +1,9 @@
 """The Schur transform on n qudits, built by cascading Clebsch-Gordan
-blocks, with an explicit label codec, Schur-basis measurement, an
-independent character-theoretic projector oracle, and encode/decode into
-the permutation-module (decoherence-free) sectors.
+blocks one torus-weight block at a time, with an explicit label codec,
+Schur-basis measurement, an independent character-theoretic projector
+oracle, and encode/decode into the permutation-module (decoherence-free)
+sectors.  Every product with S goes through its weight blocks; only
+schur_unitary assembles the dense matrix.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,9 +26,8 @@ from .combinatorics import (
     normalize,
     partition_str,
     yy_index,
-    yy_unindex,
 )
-from .operators import DenseOperator, permutation_action
+from .operators import DenseOperator, permutation_action, real_complex_matmul
 from .permutations import all_permutations, cycle_type
 from .wigner import cg_block, cg_output_blocks
 
@@ -62,16 +65,11 @@ class SchurLabelCodec:
     def __init__(self, d: int, n: int):
         self.d = d
         self.n = n
-        self.triples = []
-        self._offset = {}
-        row = 0
+        self.triples, self._offset = [], {}
         for lam in enumerate_partitions(d, n):
-            self._offset[lam] = row
-            nq, np_ = dim_q(lam, d), dim_p(lam)
-            for qi in range(1, nq + 1):
-                for pi in range(1, np_ + 1):
-                    self.triples.append((lam, qi, pi))
-            row += nq * np_
+            self._offset[lam] = len(self.triples)
+            qs, ps = range(1, dim_q(lam, d) + 1), range(1, dim_p(lam) + 1)
+            self.triples += [(lam, qi, pi) for qi in qs for pi in ps]
 
     def __len__(self):
         return len(self.triples)
@@ -97,39 +95,125 @@ class SchurLabelCodec:
     def gz_pattern(self, lam, qi: int):
         return enumerate_gz(normalize(lam), self.d)[qi - 1]
 
-    def yy_path(self, lam, pi: int):
-        return yy_unindex(normalize(lam), pi)
+
+class _WeightBlocks(NamedTuple):
+    """S as its torus-weight blocks, ordered by size.  by_weight maps a
+    weight (the letter counts) to the block's codec rows and computational
+    columns, both ascending, and its matrix; classes holds (start, (k, m, m)
+    stack) per block size, cols the columns in block order and pos[r] the
+    block-order position of codec row r.  All arrays are read-only."""
+
+    codec: SchurLabelCodec
+    cols: np.ndarray
+    pos: np.ndarray
+    classes: list
+    by_weight: dict
+
+
+@lru_cache(maxsize=None)
+def _weight_classes(lam, d: int) -> dict:
+    """GZ weight -> indices of the patterns of lam with that weight, in
+    enumerate_gz order."""
+    out = {}
+    for k, pattern in enumerate(enumerate_gz(lam, d)):
+        out.setdefault(gz_weight(pattern), []).append(k)
+    return {w: np.array(ks) for w, ks in out.items()}
+
+
+@lru_cache(maxsize=None)
+def _cascade(d: int, n: int) -> _WeightBlocks:
+    """Build S by cascading Clebsch-Gordan blocks, one torus weight at a time.
+
+    A CG step maps weight w tensor e_i to w + e_i.  The Young-Yamanouchi
+    paths are stacked per top shape, with their amplitudes kept per letter
+    content w as a (GZ patterns of weight w, paths, words of content w)
+    array; the words of content w are those of content w - e_i followed by
+    letter i, for each i in turn.  Raises ValueError if a CG block couples
+    (q, i) to a pattern of weight other than weight(q) + e_i.
+    """
+    codec = SchurLabelCodec(d, n)
+    # one qudit: letter i is the pattern of (1,) with weight e_i
+    words = {w: np.array([w.index(1)]) for w in _weight_classes((1,), d)}
+    tops = {(1,): ([((1,),)], {w: np.ones((1, 1, 1)) for w in words})}
+    for _ in range(1, n):
+        # grown content -> its (letter, content) segments in letter order
+        segments = {}
+        for i in range(d):
+            for w in words:
+                segments.setdefault(w[:i] + (w[i] + 1,) + w[i + 1 :], []).append((i, w))
+        grown = {}
+        for mu, (paths, amps) in tops.items():
+            cg = cg_block(mu, d).matrix
+            q_of = _weight_classes(mu, d)
+            unread = cg.copy()  # what is left once every product has read its entries
+            for lp, sl in cg_output_blocks(mu, d):
+                new_paths, new_amps = grown.setdefault(lp, ([], {}))
+                new_paths += [path + (lp,) for path in paths]
+                for w, ks in _weight_classes(lp, d).items():
+                    parts = []
+                    for i, v in segments[w]:
+                        if v not in q_of:
+                            parts.append(np.zeros((len(ks), len(paths), len(words[v]))))
+                            continue
+                        cell = np.ix_(sl.start + ks, q_of[v] * d + i)
+                        prod = cg[cell] @ amps[v].reshape(len(q_of[v]), -1)
+                        parts.append(prod.reshape(len(ks), len(paths), -1))
+                        unread[cell] = 0.0
+                    new_amps.setdefault(w, []).append(np.concatenate(parts, axis=2))
+            if unread.any():
+                raise ValueError(f"CG block of {mu} at d={d} breaks torus weight")
+        words = {
+            w: np.concatenate([words[v] * d + i for i, v in seg])
+            for w, seg in segments.items()
+        }
+        tops = {
+            lp: (paths, {w: np.concatenate(a, axis=1) for w, a in amps.items()})
+            for lp, (paths, amps) in grown.items()
+        }
+    # the finished rows per weight, ascending: shapes in codec order, then
+    # patterns in enumerate_gz order, then paths by yy_index
+    rows, blocks = {}, {}
+    for lam in enumerate_partitions(d, n):
+        paths, amps = tops[lam]
+        by_p = np.argsort([yy_index(path) for path in paths])
+        for w, a in amps.items():
+            qs = _weight_classes(lam, d)[w][:, None]
+            r = codec.index(lam, 1, 1) + qs * len(paths) + np.arange(len(paths))
+            rows.setdefault(w, []).append(r.reshape(-1))
+            blocks.setdefault(w, []).append(a[:, by_p].reshape(r.size, -1))
+    # blocks by size, ties in descending order of the letter counts
+    order = sorted(sorted(words, reverse=True), key=lambda w: len(words[w]))
+    rows = [np.concatenate(rows[w]) for w in order]
+    cols = [np.sort(words[w]) for w in order]
+    blocks = [np.concatenate(blocks[w])[:, np.argsort(words[w])] for w in order]
+    classes, start = [], 0
+    for m, group in groupby(blocks, key=len):
+        classes.append((start, np.stack(list(group))))
+        start += classes[-1][1].size // m
+    views = [block for _, stack in classes for block in stack]
+    for a in rows + cols + [stack for _, stack in classes]:
+        a.flags.writeable = False
+    by_weight = dict(zip(order, zip(rows, cols, views)))
+    pos = np.argsort(np.concatenate(rows))
+    return _WeightBlocks(codec, np.concatenate(cols), pos, classes, by_weight)
+
+
+def _weight_blocks(d: int, n: int) -> _WeightBlocks:
+    """The cached weight blocks of S(d, n), behind the dense guard."""
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
+    require_dense(d**n)
+    return _cascade(d, n)
 
 
 @lru_cache(maxsize=None)
 def _schur_pair(d: int, n: int):
-    codec = SchurLabelCodec(d, n)
-    # per growing Young-Yamanouchi path, the map from the computational
-    # basis of the first k qudits into the GZ basis of the path's top shape
-    sectors = {((1,),): np.eye(d)}
-    for k in range(1, n):
-        grown = {}
-        for path, amp in sectors.items():
-            top = path[-1]
-            block = cg_block(top, d)
-            nq = dim_q(top, d)
-            # multiply block @ kron(amp, I_d) without forming the kron:
-            # column (x, i) of the product sums amp[q, x] over input (q, i)
-            m3 = block.matrix.reshape(block.matrix.shape[0], nq, d)
-            out = np.einsum("rqi,qx->rxi", m3, amp).reshape(
-                block.matrix.shape[0], amp.shape[1] * d
-            )
-            for lp, rows in cg_output_blocks(top, d):
-                grown[path + (lp,)] = out[rows, :]
-        sectors = grown
-    u = np.zeros((len(codec), d**n))
-    for path, amp in sectors.items():
-        lam = path[-1]
-        pi = yy_index(path)
-        for qi in range(1, dim_q(lam, d) + 1):
-            u[codec.index(lam, qi, pi), :] = amp[qi - 1, :]
-    op = DenseOperator(u, row_labels=codec.triples, col_labels=list(range(d**n)))
-    return op, codec
+    blocks = _cascade(d, n)
+    u = np.zeros((d**n, d**n))
+    for rows, cols, block in blocks.by_weight.values():
+        u[np.ix_(rows, cols)] = block
+    labels = blocks.codec.triples
+    return DenseOperator(u, row_labels=labels, col_labels=range(d**n)), blocks.codec
 
 
 def schur_unitary(d: int, n: int):
@@ -140,86 +224,30 @@ def schur_unitary(d: int, n: int):
     step) is a Young-Yamanouchi path and is always compressed to the path
     index p via yy_index; yy_unindex recovers the raw record.
 
-    The dense guard runs on every call, before the cache is consulted.
+    This dense view is assembled from the weight blocks on first request
+    and cached; the dense guard runs on every call, before the cache is
+    consulted.
     """
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
-    require_dense(d**n)
+    _weight_blocks(d, n)  # validates d and n, runs the dense guard
     return _schur_pair(d, n)
 
 
-@lru_cache(maxsize=None)
-def _weight_layout(d: int, n: int):
-    """Block structure of S under the diagonal torus of U(d).
-
-    Every row of S is a weight vector: it is supported on the computational
-    indices whose letter content equals the GZ weight of its pattern.  Rows
-    are grouped by that weight and columns by their letter content (both
-    keyed by the sorted letters, an n-vector), and S is checked to be exactly
-    zero outside the weight blocks.  Weights are ordered by block size, so
-    each size class is one contiguous run of equal square blocks.
-
-    Returns (cols, pos, classes): the computational columns in block order,
-    pos[r] the block-order position of codec row r, and (start, blocks) per
-    size class with blocks a (k, m, m) stack; all arrays are read-only.
-    """
-    su, codec = schur_unitary(d, n)
-    s = su.matrix
-    row_keys = np.zeros((len(codec), n), dtype=np.intp)
-    r = 0
-    for lam in enumerate_partitions(d, n):
-        for pattern in enumerate_gz(lam, d):
-            row_keys[r : r + dim_p(lam)] = np.repeat(np.arange(d), gz_weight(pattern))
-            r += dim_p(lam)
-    digits = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
-    col_keys = np.sort(digits, axis=1)
-    keys, row_w, sizes = np.unique(
-        row_keys, axis=0, return_inverse=True, return_counts=True
-    )
-    col_keys, col_w, col_sizes = np.unique(
-        col_keys, axis=0, return_inverse=True, return_counts=True
-    )
-    if not (np.array_equal(keys, col_keys) and np.array_equal(sizes, col_sizes)):
-        raise ValueError(f"row and column weight classes of S({d},{n}) differ")
-    row_w, col_w = row_w.reshape(-1), col_w.reshape(-1)
-    nz_rows, nz_cols = np.nonzero(s)
-    if np.any(row_w[nz_rows] != col_w[nz_cols]):
-        raise ValueError(f"S({d},{n}) is nonzero outside its weight blocks")
-    by_size = np.argsort(sizes, kind="stable")
-    rank = np.argsort(by_size)
-    rows = np.argsort(rank[row_w], kind="stable")
-    cols = np.argsort(rank[col_w], kind="stable")
-    classes = []
-    start = 0
-    for m, k in zip(*np.unique(sizes[by_size], return_counts=True)):
-        stop = start + k * m
-        rr = rows[start:stop].reshape(k, m)
-        cc = cols[start:stop].reshape(k, m)
-        classes.append((start, s[rr[:, :, None], cc[:, None, :]]))
-        start = stop
-    pos = np.argsort(rows)
-    for a in [cols, pos] + [blocks for _, blocks in classes]:
-        a.flags.writeable = False
-    return cols, pos, classes
-
-
-def _apply_blocks(classes, y: np.ndarray) -> np.ndarray:
-    """blockdiag(S) @ y for y in block order (rows) and any columns; a
-    complex y is multiplied through its float64 view, so every product is
-    a real GEMM."""
+def _apply_blocks(classes, y: np.ndarray, out=None) -> np.ndarray:
+    """blockdiag(S) @ y for y in block order (rows) and any columns, into
+    out if given; a complex y is multiplied through its float64 view, so
+    every product is a real GEMM."""
     y = np.ascontiguousarray(y)
-    flat = y.view(np.float64)
-    flat = flat.reshape(flat.shape[0], -1)
-    out = np.empty_like(flat)
+    out = np.empty_like(y) if out is None else out
+    flat, flat_out = (a.view(np.float64).reshape(len(y), -1) for a in (y, out))
     for start, blocks in classes:
         k, m, _ = blocks.shape
         stop = start + k * m
         np.matmul(
             blocks,
             flat[start:stop].reshape(k, m, -1),
-            out=out[start:stop].reshape(k, m, -1),
+            out=flat_out[start:stop].reshape(k, m, -1),
         )
-    return out.view(y.dtype)
+    return out
 
 
 def schur_conjugate(x, d: int, n: int) -> np.ndarray:
@@ -234,13 +262,16 @@ def schur_conjugate(x, d: int, n: int) -> np.ndarray:
     dim = d**n
     if x.shape != (dim, dim):
         raise ValueError(f"expected a ({dim} x {dim}) matrix, got {x.shape}")
-    cols, pos, classes = _weight_layout(d, n)
+    blocks = _weight_blocks(d, n)
+    cols, pos, classes = blocks.cols, blocks.pos, blocks.classes
     # with x_w = x[cols][:, cols] and B = blockdiag(S) in block order, each
-    # product acts on rows only: B (B x_w)^T = (B x_w B^T)^T, and the row
-    # gathers and transposed row gathers below put rows and columns in place
+    # product acts on rows only: B (B x_w)^T = (B x_w B^T)^T; the gathers put
+    # rows and columns in place in two D x D buffers (the result is a .T view)
     half = _apply_blocks(classes, x[cols])
-    full_t = _apply_blocks(classes, half.T[cols])
-    return full_t[pos].T[pos]
+    y = half.T[cols]
+    full_t = _apply_blocks(classes, y, out=half)
+    np.take(full_t, pos, axis=0, out=y)
+    return np.take(y, pos, axis=1, out=full_t).T
 
 
 def measure_schur(state, d: int, n: int, granularity: str = "lambda") -> dict:
@@ -254,19 +285,14 @@ def measure_schur(state, d: int, n: int, granularity: str = "lambda") -> dict:
         raise ValueError("state length must be d^n")
     if abs(np.linalg.norm(state) - 1.0) > 1e-8:
         raise ValueError("state must be normalized")
-    if granularity not in ("lambda", "lambda_q", "full"):
+    width = {"lambda": 1, "lambda_q": 2, "full": 3}.get(granularity)
+    if width is None:
         raise ValueError(f"unknown granularity: {granularity}")
-    u, codec = schur_unitary(d, n)
-    amps = u.matrix @ state
+    blocks = _weight_blocks(d, n)
+    amps = _apply_blocks(blocks.classes, state[blocks.cols])[blocks.pos]
     table = {}
-    for row, p in enumerate(np.abs(amps) ** 2):
-        lam, qi, pi = codec.label(row)
-        if granularity == "lambda":
-            key = lam
-        elif granularity == "lambda_q":
-            key = (lam, qi)
-        else:
-            key = (lam, qi, pi)
+    for label, p in zip(blocks.codec.triples, np.abs(amps) ** 2):
+        key = label[0] if width == 1 else label[:width]
         table[key] = table.get(key, 0.0) + float(p)
     return table
 
@@ -292,13 +318,13 @@ def central_projector_oracle(lam, d: int, n: int) -> DenseOperator:
     return DenseOperator(acc, row_labels=list(range(dim)), col_labels=list(range(dim)))
 
 
-def _dfs_sector(lam, q, vec, axis: int, d: int, n: int):
-    """The dim_p(lam) x d^n Schur rows of sector (lam, q) and vec as a
-    complex vector of length rows.shape[axis].
+def _dfs_sector(lam, q, vec, encode: bool, d: int, n: int):
+    """The Schur rows of sector (lam, q), restricted to the columns of its
+    weight block, those columns, and vec as a complex vector.
 
     Raises ValueError unless lam is a partition of n with at most d rows,
     q is an index in [1, dim_q(lam)] or one of lam's GZ patterns, and vec
-    has that length.
+    has length dim_p(lam) (encode) or d^n (decode).
     """
     lam = normalize(lam)
     if lam not in enumerate_partitions(d, n):
@@ -307,13 +333,15 @@ def _dfs_sector(lam, q, vec, axis: int, d: int, n: int):
     qi = q if isinstance(q, (int, np.integer)) else patterns.index(tuple(q)) + 1
     if not 1 <= qi <= len(patterns):
         raise ValueError(f"q must lie in 1..{len(patterns)} for {lam}, got {qi}")
-    u, codec = schur_unitary(d, n)
-    start = codec.index(lam, qi, 1)
-    rows = u.matrix[start : start + dim_p(lam)]
     vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if vec.shape[0] != rows.shape[axis]:
-        raise ValueError(f"vector length must be {rows.shape[axis]}")
-    return rows, vec
+    length = dim_p(lam) if encode else d**n
+    if vec.shape[0] != length:
+        raise ValueError(f"vector length must be {length}")
+    blocks = _weight_blocks(d, n)
+    # the sector's rows are consecutive rows of the block of its weight
+    rows, cols, block = blocks.by_weight[gz_weight(patterns[qi - 1])]
+    top = np.searchsorted(rows, blocks.codec.index(lam, qi, 1))
+    return block[top : top + dim_p(lam)], cols, vec
 
 
 def dfs_encode(lam, q, p_state, d: int, n: int) -> np.ndarray:
@@ -322,13 +350,15 @@ def dfs_encode(lam, q, p_state, d: int, n: int) -> np.ndarray:
 
     q may be a GZ pattern (chain) or a 1-based index into enumerate_gz.
     """
-    rows, p_state = _dfs_sector(lam, q, p_state, 0, d, n)
-    # S is real, so rows^dagger p_state is p_state @ rows
-    return p_state @ rows
+    rows, cols, p_state = _dfs_sector(lam, q, p_state, True, d, n)
+    out = np.zeros(d**n, dtype=complex)
+    # S is real, so rows^dagger p_state is rows^T p_state
+    out[cols] = real_complex_matmul(rows.T, p_state)
+    return out
 
 
 def dfs_decode(lam, q, state, d: int, n: int) -> np.ndarray:
     """Inverse of dfs_encode: project onto the (lam, q) rows and return the
     P_lam-register amplitudes."""
-    rows, state = _dfs_sector(lam, q, state, 1, d, n)
-    return rows @ state
+    rows, cols, state = _dfs_sector(lam, q, state, False, d, n)
+    return real_complex_matmul(rows, state[cols])

@@ -5,14 +5,14 @@ ancilla and controlled qudit permutations instead of the Schur unitary.
 
 The group algebra embeds into (C^n)^{tensor n} as the words with n
 distinct letters, the all-ones torus weight, so the Fourier transform is
-the one n! x n! weight block of S(n, n), read from the Schur transform's
-weight layout.
+the one n! x n! weight block of S(n, n), read from the weight blocks the
+cascade builds; the dense S(n, n) is never formed.
 
 Both GPE entry points share one ancilla pipeline.  The controlled
 permutation sum_s |s><s| tensor P(s) is applied as an index gather per
 ancilla row, so the joint register is an n! x d^n array and nothing larger
-is formed.  Its guard is require_dense(n!, d^n); the Fourier block's n^n
-is checked by schur_unitary(n, n).
+is formed.  Its guard is require_dense(n!, d^n); the Fourier block is
+behind the Schur transform's own guard on n^n.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import schur_transform
 from .characters import young_orthogonal
 from .combinatorics import dim_p, enumerate_partitions
 from .operators import DenseOperator, _image_indices
 from .permutations import all_permutations, compose, inverse, perm_index, transposition
-from .schur_transform import _weight_layout, require_dense, schur_unitary
+from .schur_transform import require_dense
 
 
 @dataclass
@@ -36,12 +37,6 @@ class FourierBlockLayout:
 
     n: int
     blocks: list = field(default_factory=list)  # (lam, row slice)
-
-    def block(self, lam) -> slice:
-        for l, sl in self.blocks:
-            if l == lam:
-                return sl
-        raise KeyError(lam)
 
 
 def sn_qft_from_schur(n: int):
@@ -54,24 +49,20 @@ def sn_qft_from_schur(n: int):
     multiplication on b; each block matches the standard Fourier convention
     up to a fixed sign on each row.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _, codec = schur_unitary(n, n)
-    _, pos, classes = _weight_layout(n, n)
-    # the weight (1, ..., 1) block is the only one of size n!, the largest;
-    # its rows are in codec order and its columns, the words with distinct
-    # letters in increasing index order, in all_permutations order
-    first, blocks = classes[-1]
-    size = math.factorial(n)
-    assert blocks.shape == (1, size, size)
-    labels = [codec.label(r) for r in np.flatnonzero(pos >= first)]
+    blocks = schur_transform._weight_blocks(n, n)
+    # the rows of the weight (1, ..., 1) block are in codec order and its
+    # columns, the words with distinct letters in increasing index order,
+    # in all_permutations order
+    rows, _, block = blocks.by_weight[(1,) * n]
     layout = FourierBlockLayout(n=n)
     start = 0
     for lam in enumerate_partitions(n, n):
         layout.blocks.append((lam, slice(start, start + dim_p(lam) ** 2)))
         start += dim_p(lam) ** 2
     op = DenseOperator(
-        blocks[0].copy(), row_labels=labels, col_labels=list(all_permutations(n))
+        block.copy(),
+        row_labels=[blocks.codec.label(r) for r in rows],
+        col_labels=list(all_permutations(n)),
     )
     return op, layout
 

@@ -229,6 +229,8 @@ def cg_block(lam, d: int) -> DenseOperator:
     are (lam', output GZ pattern).  The empty partition gives the relabeling
     |i> -> (j = i, defining-irrep chain i).
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     lam = normalize(lam)
     patterns = enumerate_gz(lam, d)
     col_labels = [(q, i) for q in patterns for i in range(1, d + 1)]

@@ -62,6 +62,13 @@ def test_invariant_basis_vectors_are_fixed_points():
         assert np.abs(m @ v - v).max() < 1e-10
 
 
+def test_invariant_basis_is_cached_and_read_only():
+    vecs = invariant_basis((2, 1), (2, 1), (2, 1))
+    assert invariant_basis([2, 1, 0], (2, 1), (2, 1)) is vecs
+    with pytest.raises(ValueError):
+        vecs[0][0] = 1.0
+
+
 def test_phi_lambda_is_normalized_and_invariant():
     for lam in enumerate_partitions(4, 4):
         v = phi_lambda(lam)

@@ -140,6 +140,22 @@ def test_channel_rejects_oversized_output_space(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("spectrum", "--n", "5", "--r", "0.5,0.5", "--trials", "0"), "trials >= 1"),
+        (("spectrum", "--n", "5", "--r", "0.5,0.5", "--trials", "-3"), "trials >= 1"),
+        (("compress", "--n", "0", "--r", "0.5,0.5"), "n must be >= 1"),
+        (("typebounds", "--n", "0", "--r", "0.5,0.5"), "n must be >= 1"),
+        (("cg", "--d", "0"), "d must be >= 1"),
+    ],
+)
+def test_invalid_sizes_exit_1(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+
+
 def test_usage_error_exits_64(capsys):
     assert run(capsys, "bogus")[0] == 64
     assert run(capsys, "dims", "--d", "2")[0] == 64  # missing --n

@@ -120,6 +120,23 @@ def test_compress_rate_below_entropy_fails():
     assert record.error_mass > 0.5
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: spectrum_estimate((0.5, 0.5), 5, 0), "trials >= 1"),
+        (lambda: spectrum_estimate((0.5, 0.5), 5, -3), "trials >= 1"),
+        (lambda: spectrum_estimate((0.5, 0.5), 0, 10), "n >= 1"),
+        (lambda: compress_rate((0.5, 0.5), 0, 1.0), "n must be >= 1"),
+        (lambda: typical_mass((0.5, 0.5), 0, 0.1), "n must be >= 1"),
+        (lambda: trace_bound_check((), (0.5, 0.5), 0), "n must be >= 1"),
+    ],
+    ids=["trials0", "trials-3", "spectrum-n0", "compress-n0", "typical-n0", "trace-n0"],
+)
+def test_invalid_sizes_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_normalized_shape():
     assert normalized_shape((3, 1), 4, 2) == (0.75, 0.25)
     assert normalized_shape((4,), 4, 3) == (1.0, 0.0, 0.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import haar_unitary, random_state
@@ -12,8 +14,9 @@ from schurkit.combinatorics import (
     enumerate_partitions,
     gz_weight,
 )
-from schurkit.duality_checks import verify_block_diagonal
+from schurkit.duality_checks import rho_blocks, verify_block_diagonal
 from schurkit.operators import DenseOperator
+from schurkit.qtypes import concentrate
 from schurkit.schur_transform import (
     SchurLabelCodec,
     central_projector_oracle,
@@ -24,6 +27,7 @@ from schurkit.schur_transform import (
     schur_conjugate,
     schur_unitary,
 )
+from schurkit.sn_fourier import sn_qft_from_schur
 
 
 @pytest.mark.parametrize(
@@ -176,19 +180,70 @@ def test_schur_conjugate_rejects_shape_mismatch():
         schur_conjugate(np.ones((8, 4)), 2, 3)
 
 
-def test_weight_layout_rejects_entry_outside_weight_blocks(monkeypatch):
-    su, codec = schur_unitary(2, 3)
-    bad = su.matrix.copy()
-    # row 0 is supported on one letter content; the complementary index
-    # (all digits flipped) swaps the letter counts, so it lies in another
-    # weight block
-    c0 = int(np.flatnonzero(bad[0])[0])
-    bad[0, 7 - c0] = 1e-3
-    monkeypatch.setattr(
-        schur_transform, "_schur_pair", lambda d, n: (DenseOperator(bad), codec)
-    )
-    with pytest.raises(ValueError, match="outside its weight blocks"):
-        schur_transform._weight_layout.__wrapped__(2, 3)
+def test_cascade_rejects_cg_block_that_breaks_weight(monkeypatch):
+    real_cg_block = schur_transform.cg_block
+
+    def leaky_cg_block(lam, d):
+        block = real_cg_block(lam, d)
+        bad = block.matrix.copy()
+        # column 0 is (q, i = 1): couple it to a row whose weight is not
+        # weight(q) + e_1
+        q, _ = block.col_labels[0]
+        target = tuple(np.add(gz_weight(q), np.eye(d, dtype=int)[0]))
+        row = next(
+            r
+            for r, (_, g) in enumerate(block.row_labels)
+            if gz_weight(g) != target
+        )
+        bad[row, 0] = 1e-3
+        return DenseOperator(bad, block.row_labels, block.col_labels)
+
+    monkeypatch.setattr(schur_transform, "cg_block", leaky_cg_block)
+    with pytest.raises(ValueError, match="breaks torus weight"):
+        schur_transform._cascade.__wrapped__(2, 3)
+
+
+def test_products_with_s_never_form_the_dense_matrix(monkeypatch, rng):
+    d, n = 2, 5
+    s = schur_unitary(d, n)[0].matrix
+    codec = SchurLabelCodec(d, n)
+
+    def refuse(d, n):
+        raise AssertionError("the dense Schur transform was formed")
+
+    monkeypatch.setattr(schur_transform, "_schur_pair", refuse)
+    with pytest.raises(AssertionError):
+        schur_unitary(d, n)
+    state = random_state(rng, d**n)
+    amps = s @ state
+    for (lam, qi, pi), p in measure_schur(state, d, n, granularity="full").items():
+        assert abs(p - abs(amps[codec.index(lam, qi, pi)]) ** 2) < 1e-12
+    p_state = random_state(rng, dim_p((3, 2)))
+    rows = [codec.index((3, 2), 2, pi) for pi in range(1, dim_p((3, 2)) + 1)]
+    encoded = dfs_encode((3, 2), 2, p_state, d, n)
+    assert np.abs(encoded - p_state @ s[rows]).max() < 1e-12
+    assert np.abs(dfs_decode((3, 2), 2, encoded, d, n) - p_state).max() < 1e-12
+    x = rng.normal(size=(d**n, d**n))
+    assert np.abs(schur_conjugate(x, d, n) - s @ x @ s.T).max() < 1e-12
+    assert verify_block_diagonal(haar_unitary(rng, d), (2, 1, 3, 5, 4), d, n).leakage < 1e-10
+    rho = np.diag([0.7, 0.3])
+    assert abs(sum(w for w, _, _ in rho_blocks(rho, n).values()) - 1.0) < 1e-12
+    psi = np.array([0.8, 0, 0, 0.6])
+    assert concentrate(psi, 3).off_diagonal_mass < 1e-10
+    assert sn_qft_from_schur(4)[0].unitarity_residual() < 1e-12
+
+
+def test_measure_schur_peak_memory_on_warm_transform(rng):
+    d, n = 2, 10
+    state = random_state(rng, d**n)
+    measure_schur(state, d, n)
+    tracemalloc.start()
+    try:
+        measure_schur(state, d, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def _small_cells():

@@ -93,6 +93,11 @@ def test_cg_block_is_unitary(d):
             assert block.matrix.shape[0] == block.matrix.shape[1]
 
 
+def test_cg_block_rejects_d_below_one():
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        cg_block((), 0)
+
+
 def test_cg_block_is_unitary_d4():
     for lam in [(), (1,), (2, 1), (1, 1, 1, 1), (2, 2)]:
         assert cg_block(lam, 4).unitarity_residual() < 1e-12
