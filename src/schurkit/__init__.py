@@ -31,7 +31,7 @@ from .duality_checks import (
     spectral_weights,
     verify_block_diagonal,
 )
-from .operators import DenseOperator, collective_unitary, permutation_action
+from .operators import DenseOperator, collective_unitary, dense_cap, permutation_action
 from .qtypes import (
     CompressRateRecord,
     ConcentrationReport,
@@ -47,7 +47,6 @@ from .qtypes import (
 from .schur_transform import (
     SchurLabelCodec,
     central_projector_oracle,
-    dense_cap,
     dfs_decode,
     dfs_encode,
     measure_schur,

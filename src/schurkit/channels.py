@@ -13,9 +13,9 @@ import numpy as np
 
 from .characters import character, young_orthogonal
 from .combinatorics import dim_p, dim_q, enumerate_partitions, normalize
-from .operators import collective_unitary
+from .operators import collective_unitary, require_dense
 from .permutations import all_permutations, conjugacy_classes
-from .schur_transform import require_dense, schur_unitary
+from .schur_transform import schur_unitary
 
 
 def kronecker(lam_a, lam_b, lam_c) -> int:

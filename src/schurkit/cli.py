@@ -227,6 +227,8 @@ def _haar(rng, d: int) -> np.ndarray:
 
 
 def _cmd_verify(args):
+    if args.trials < 1:
+        raise ValueError("verify needs trials >= 1")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst_leak = worst_res = 0.0

@@ -1,9 +1,33 @@
 """Dense operators with labeled bases, plus the basic collective actions on
-(C^d)^n: qudit-permutation matrices and n-fold tensor powers."""
+(C^d)^n: qudit-permutation matrices and n-fold tensor powers, and the one
+guard on the size of every dense array the package materializes."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+
+DEFAULT_DENSE_CAP = 4096
+
+
+def dense_cap() -> int:
+    """The largest dimension of any dense array the package will
+    materialize; overridable through the SCHURKIT_DENSE_CAP environment
+    variable."""
+    return int(os.environ.get("SCHURKIT_DENSE_CAP", DEFAULT_DENSE_CAP))
+
+
+def require_dense(*shape: int) -> None:
+    """Raise ValueError unless every dimension of a dense array of this
+    shape is at most dense_cap(); read on every call, so a lowered cap also
+    holds for transforms that are already cached."""
+    cap = dense_cap()
+    if max(shape) > cap:
+        raise ValueError(
+            f"dense shape {shape} exceeds cap {cap}; "
+            "raise SCHURKIT_DENSE_CAP to override"
+        )
 
 
 class DenseOperator:

@@ -9,7 +9,6 @@ schur_unitary assembles the dense matrix.
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
@@ -27,31 +26,14 @@ from .combinatorics import (
     partition_str,
     yy_index,
 )
-from .operators import DenseOperator, permutation_action, real_complex_matmul
+from .operators import (
+    DenseOperator,
+    permutation_action,
+    real_complex_matmul,
+    require_dense,
+)
 from .permutations import all_permutations, cycle_type
 from .wigner import cg_block, cg_output_blocks
-
-DEFAULT_DENSE_CAP = 4096
-
-
-def dense_cap() -> int:
-    """The largest dimension of any dense array the package will
-    materialize; overridable through the SCHURKIT_DENSE_CAP environment
-    variable."""
-    return int(os.environ.get("SCHURKIT_DENSE_CAP", DEFAULT_DENSE_CAP))
-
-
-def require_dense(*shape: int) -> None:
-    """Raise ValueError unless every dimension of a dense array of this
-    shape is at most dense_cap(); read on every call, so a lowered cap also
-    holds for transforms that are already cached."""
-    cap = dense_cap()
-    if max(shape) > cap:
-        raise ValueError(
-            f"dense shape {shape} exceeds cap {cap}; "
-            "raise SCHURKIT_DENSE_CAP to override"
-        )
-
 
 class SchurLabelCodec:
     """Deterministic ordering of (lam, q, p) triples onto output row indices.

@@ -25,9 +25,8 @@ import numpy as np
 from . import schur_transform
 from .characters import young_orthogonal
 from .combinatorics import dim_p, enumerate_partitions
-from .operators import DenseOperator, _image_indices
+from .operators import DenseOperator, _image_indices, require_dense
 from .permutations import all_permutations, compose, inverse, perm_index, transposition
-from .schur_transform import require_dense
 
 
 @dataclass
@@ -124,7 +123,10 @@ class FourierReport:
 def verify_fourier(n: int, trials: int = 0, seed: int = 0) -> FourierReport:
     """Check that conjugating L(s1) R(s2) by the Fourier transform is block
     diagonal with blocks p_lam(s1) tensor p_lam(s2), after the one-time
-    frozen sign alignment.  trials = 0 checks all pairs exhaustively."""
+    frozen sign alignment.  trials = 0 checks all pairs exhaustively;
+    negative trials raise ValueError."""
+    if trials < 0:
+        raise ValueError("trials must be >= 0 (0 checks every pair)")
     f, layout = sn_qft_from_schur(n)
     signs = _alignment_signs(f.matrix, layout, n)
     perms = all_permutations(n)

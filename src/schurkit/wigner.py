@@ -15,6 +15,13 @@ carrying the sign of prod_{t != j} (mpt_{j'} - mt_t + 1).  The j' = 0 case
 products and takes the positive root.  This convention makes every assembled
 CG block exactly unitary and reproduces the standard two-level (singlet /
 triplet) matrices; see tests for the independent spectral-projector oracle.
+
+For fixed (mu, mu'') these coefficients form the d x d that_matrix, from
+which and the rank-(d-1) blocks cg_block assembles the rank-d block.  Input
+patterns q = q' + (lam,) come in runs of equal q_{d-1} = mu.  Qudit value d
+leaves q' alone (j' = 0, mu'' = mu); a value i < d couples q' through the
+rank-(d-1) block of mu to outcomes (mu'' = mu + e_j', g'').  Each outcome
+goes to row (lam + e_j, g'' + (lam + e_j,)) with that_matrix(lam, mu'')[j, j'].
 """
 
 from __future__ import annotations
@@ -30,11 +37,12 @@ from .combinatorics import (
     dim_q,
     enumerate_gz,
     interlaces,
+    interlacing_partitions,
     is_partition,
     normalize,
     pad,
 )
-from .operators import DenseOperator
+from .operators import DenseOperator, require_dense
 
 
 def _shifted_rows(lam, rows: int, offset: int) -> tuple:
@@ -171,76 +179,65 @@ def that_matrix(mu, mupp, d: int) -> DenseOperator:
     return DenseOperator(m, row_labels=list(range(1, d + 1)), col_labels=list(range(d)))
 
 
-@lru_cache(maxsize=None)
-def _branches(pattern, i: int, d: int) -> tuple:
-    """Decompose basis vector |pattern> tensor |e_i> of the rank-d problem.
-
-    Returns ((new_top_partition, new_pattern, amplitude), ...) by recursing
-    on the lower d-1 rows: qudit value i = d contributes the j' = 0 branch
-    directly; i < d is resolved by the rank-(d-1) coupling, whose outcome
-    row j' feeds the reduced coefficient at rank d.
-    """
-    lam = pattern[-1]
-    if d == 1:
-        new = normalize((pad(lam, 1)[0] + 1,))
-        return (((new, (new,)), 1.0),)
-    mup = pattern[-2]
-    if i == d:
-        lower = [((0, normalize(mup), pattern[:-1]), 1.0)]
-    else:
-        lower = []
-        mup_p = pad(mup, d - 1)
-        for (mupp, sub_pattern), amp in _branches(pattern[:-1], i, d - 1):
-            mupp_p = pad(mupp, d - 1)
-            jp = next(k + 1 for k in range(d - 1) if mupp_p[k] == mup_p[k] + 1)
-            lower.append(((jp, normalize(mupp), sub_pattern), amp))
-    out = {}
-    lam_p = pad(lam, d)
-    for (jp, mupp, sub_pattern), amp in lower:
-        for j in range(1, d + 1):
-            cand = list(lam_p)
-            cand[j - 1] += 1
-            if not is_partition(cand):
-                continue
-            new = normalize(cand)
-            if not interlaces(mupp, new):
-                continue
-            coeff = _reduced_wigner(
-                lam, j, mupp if jp == 0 else _drop_box(mupp, jp, d - 1), jp, d
-            )
-            if coeff == 0.0:
-                continue
-            key = (new, sub_pattern + (new,))
-            out[key] = out.get(key, 0.0) + amp * coeff
-    return tuple(out.items())
-
-
-def _drop_box(mupp, jp: int, rows: int) -> tuple:
-    cand = list(pad(mupp, rows))
-    cand[jp - 1] -= 1
-    return normalize(cand)
-
-
 def cg_block(lam, d: int) -> DenseOperator:
     """The unitary coupling GZ(lam) tensor C^d onto the direct sum of
     GZ(lam') over lam' in add_box(lam, d), each appearing exactly once.
 
     Column labels are (input GZ pattern, qudit value i in 1..d); row labels
     are (lam', output GZ pattern).  The empty partition gives the relabeling
-    |i> -> (j = i, defining-irrep chain i).
+    |i> -> (j = i, defining-irrep chain i).  Built rank by rank, keeping no
+    block once it returns; raises ValueError over the dense cap.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     lam = normalize(lam)
-    patterns = enumerate_gz(lam, d)
-    col_labels = [(q, i) for q in patterns for i in range(1, d + 1)]
+    require_dense(d * dim_q(lam, d))
+    # the shapes whose blocks are needed at each rank, from d down to 1
+    shapes = [{lam}]
+    for r in range(d - 1, 0, -1):
+        below = (interlacing_partitions(nu, r) for nu in shapes[-1])
+        shapes.append({mu for mus in below for mu in mus})
+    lower = {}
+    for r, level in enumerate(reversed(shapes), 1):
+        lower = {nu: _cg_matrix(nu, r, lower) for nu in level}
+    col_labels = [(q, i) for q in enumerate_gz(lam, d) for i in range(1, d + 1)]
     row_labels = [(lp, g) for lp in add_box(lam, d) for g in enumerate_gz(lp, d)]
-    row_pos = {lab: r for r, lab in enumerate(row_labels)}
-    m = np.zeros((len(row_labels), len(col_labels)))
-    for c, (q, i) in enumerate(col_labels):
-        for (new, out_pattern), amp in _branches(q, i, d):
-            m[row_pos[(new, out_pattern)], c] += amp
-    return DenseOperator(m, row_labels=row_labels, col_labels=col_labels)
+    return DenseOperator(lower[lam], row_labels=row_labels, col_labels=col_labels)
+
+
+def _cg_matrix(lam, d: int, lower: dict) -> np.ndarray:
+    """cg_block(lam, d).matrix, given lower[mu] = cg_block(mu, d - 1).matrix
+    for every mu interlacing lam."""
+    if d == 1:
+        return np.ones((1, 1))
+    # first row of each run of equal q_{d-1} = mu'' among the rows of lam + e_j
+    run, start = {}, 0
+    for lp in add_box(lam, d):
+        for mupp in interlacing_partitions(lp, d - 1):
+            run[lp, mupp] = start
+            start += dim_q(mupp, d - 1)
+    m = np.zeros((start, start))
+    lam_p, col, couplings = pad(lam, d), 0, {}
+    grown = [normalize(lam_p[:j] + (lam_p[j] + 1,) + lam_p[j + 1 :]) for j in range(d)]
+    for mu in interlacing_partitions(lam, d - 1):
+        k = dim_q(mu, d - 1)
+        cols = col + np.arange(k * d).reshape(k, d)
+        col += k * d
+        parts, mu_p = [(mu, 0, np.eye(k), cols[:, -1])], pad(mu, d - 1)
+        for mupp, sl in cg_output_blocks(mu, d - 1):
+            jp = 1 + [a > b for a, b in zip(pad(mupp, d - 1), mu_p)].index(True)
+            parts.append((mupp, jp, lower[mu][sl], cols[:, :-1].ravel()))
+        for mupp, jp, block, idx in parts:
+            if mupp not in couplings:
+                couplings[mupp] = that_matrix(lam, mupp, d).matrix
+            # only (j, j') of an actual lam + e_j: the unit entries that
+            # complete that_matrix are not coupling coefficients
+            for j, lp in enumerate(grown):
+                r0 = run.get((lp, mupp))
+                if r0 is not None:
+                    # += onto zeros keeps every structural zero at +0.0
+                    m[r0 : r0 + len(block), idx] += couplings[mupp][j, jp] * block
+    return m
 
 
 def cg_output_blocks(lam, d: int) -> list:

@@ -148,12 +148,22 @@ def test_channel_rejects_oversized_output_space(capsys):
         (("compress", "--n", "0", "--r", "0.5,0.5"), "n must be >= 1"),
         (("typebounds", "--n", "0", "--r", "0.5,0.5"), "n must be >= 1"),
         (("cg", "--d", "0"), "d must be >= 1"),
+        (("verify", "--d", "2", "--n", "3", "--trials", "0"), "trials >= 1"),
+        (("verify", "--d", "2", "--n", "3", "--trials", "-3"), "trials >= 1"),
     ],
 )
 def test_invalid_sizes_exit_1(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:") and message in err
+
+
+def test_cg_over_the_dense_cap_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("SCHURKIT_DENSE_CAP", "8")
+    code, out, err = run(capsys, "cg", "--d", "3", "--lambda", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "exceeds cap" in err
 
 
 def test_usage_error_exits_64(capsys):

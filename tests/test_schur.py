@@ -15,12 +15,11 @@ from schurkit.combinatorics import (
     gz_weight,
 )
 from schurkit.duality_checks import rho_blocks, verify_block_diagonal
-from schurkit.operators import DenseOperator
+from schurkit.operators import DenseOperator, dense_cap
 from schurkit.qtypes import concentrate
 from schurkit.schur_transform import (
     SchurLabelCodec,
     central_projector_oracle,
-    dense_cap,
     dfs_decode,
     dfs_encode,
     measure_schur,

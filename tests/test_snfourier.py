@@ -90,6 +90,11 @@ def test_fourier_block_diagonalizes_both_regular_actions():
     assert report.block_residual < 1e-12
 
 
+def test_fourier_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        verify_fourier(3, trials=-1)
+
+
 def test_fourier_sampled_n4():
     report = verify_fourier(4, trials=6, seed=2)
     assert report.leakage < 1e-12

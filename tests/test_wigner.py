@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schurkit
 from schurkit.combinatorics import (
     add_box,
     dim_q,
@@ -84,13 +89,23 @@ def test_that_matrix_is_orthogonal_property(args):
     assert np.abs(t.T @ t - np.eye(d)).max() < 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3])
+def _shapes(d, max_size):
+    """Partitions of at most max_size boxes whose CG block at rank d has at
+    most 2048 columns: at d = 32 these are () and (1,)."""
+    return [
+        lam
+        for n in range(max_size + 1)
+        for lam in enumerate_partitions(d, n)
+        if d * dim_q(lam, d) <= 2048
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 32])
 def test_cg_block_is_unitary(d):
-    for n in range(0, 5):
-        for lam in enumerate_partitions(d, n) if n else [()]:
-            block = cg_block(lam, d)
-            assert block.unitarity_residual() < 1e-12
-            assert block.matrix.shape[0] == block.matrix.shape[1]
+    for lam in _shapes(d, 4):
+        block = cg_block(lam, d)
+        assert block.unitarity_residual() < 1e-12
+        assert block.matrix.shape[0] == block.matrix.shape[1]
 
 
 def test_cg_block_rejects_d_below_one():
@@ -101,6 +116,42 @@ def test_cg_block_rejects_d_below_one():
 def test_cg_block_is_unitary_d4():
     for lam in [(), (1,), (2, 1), (1, 1, 1, 1), (2, 2)]:
         assert cg_block(lam, 4).unitarity_residual() < 1e-12
+
+
+def test_cg_block_checks_the_dense_cap_first(monkeypatch):
+    monkeypatch.setenv("SCHURKIT_DENSE_CAP", "8")
+    assert cg_block((), 8).matrix.shape == (8, 8)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        cg_block((1,), 3)  # 3 x dim_q((1,), 3) = 9 columns
+
+
+def test_cg_block_keeps_no_block_after_returning():
+    """The lower-rank blocks live only for one call: once the block of (1,)
+    at d = 32 is dropped, the package holds less than that block's size.
+    Measured in a fresh interpreter, so no earlier call has warmed a cache."""
+    code = (
+        "import gc, tracemalloc\n"
+        "tracemalloc.start()\n"
+        "from schurkit.wigner import cg_block\n"
+        "base = tracemalloc.get_traced_memory()[0]\n"
+        "block = cg_block((1,), 32)\n"
+        "nbytes = block.matrix.nbytes\n"
+        "del block\n"
+        "gc.collect()\n"
+        "print(nbytes, tracemalloc.get_traced_memory()[0] - base)\n"
+    )
+    src = os.path.dirname(os.path.dirname(schurkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    nbytes, retained = map(int, out.stdout.split())
+    assert nbytes == 1024 * 1024 * 8
+    assert retained < nbytes
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -114,17 +165,18 @@ def test_cg_output_blocks_cover_add_box_once_each(d):
             assert sl.stop - sl.start == dim_q(lp, d)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 32])
 def test_cg_block_preserves_weight(d):
     """Coupling adds the qudit value to the pattern weight: entries vanish
     unless weight(out) = weight(in) + e_i."""
-    for lam in enumerate_partitions(d, 3):
+    for lam in _shapes(d, 3):
         block = cg_block(lam, d)
-        for r, (_, out_pattern) in enumerate(block.row_labels):
-            for c, (in_pattern, i) in enumerate(block.col_labels):
-                expected = tuple(
-                    w + (1 if k == i - 1 else 0)
-                    for k, w in enumerate(gz_weight(in_pattern))
-                )
-                if gz_weight(out_pattern) != expected:
-                    assert block.matrix[r, c] == 0.0
+        ids = {}
+        out_w = [ids.setdefault(gz_weight(g), len(ids)) for _, g in block.row_labels]
+        grown = [
+            tuple(w + (k == i - 1) for k, w in enumerate(gz_weight(q)))
+            for q, i in block.col_labels
+        ]
+        in_w = [ids.setdefault(w, len(ids)) for w in grown]
+        allowed = np.equal.outer(out_w, in_w)
+        assert not block.matrix[~allowed].any()
