@@ -9,6 +9,7 @@ conforms to schemas/document.schema.json shipped with the package.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -71,13 +72,13 @@ def _num(x) -> str:
 
 
 def matrix_document(matrix, row_labels, col_labels) -> dict:
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
     r, c = matrix.shape
     return {
         "kind": "matrix",
         "rows": r,
         "cols": c,
-        "data": [[float(v.real), float(v.imag)] for v in matrix.reshape(-1)],
+        "data": matrix.reshape(-1, 1).view(np.float64).tolist(),
         "row_labels": [str(l) for l in row_labels],
         "col_labels": [str(l) for l in col_labels],
     }
@@ -92,8 +93,28 @@ def table_document(columns, rows, scalars=None) -> dict:
     }
 
 
+_PAIR = "    [\n      %s,\n      %s\n    ]"
+
+
+def _matrix_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2) for a matrix document with data, without the
+    pure-Python encoder that indent selects: the C encoder spells each
+    distinct float64 bit pattern once (-0.0, NaN and Infinity as json does),
+    and the [re, im] pairs fill one fixed template."""
+    data = np.fromiter(itertools.chain.from_iterable(doc["data"]), np.float64)
+    distinct, which = np.unique(data.view(np.int64), return_inverse=True)
+    words = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    cells = tuple(map(words.__getitem__, which.tolist()))
+    body = ",\n".join([_PAIR] * len(doc["data"])) % cells
+    # "data" follows kind, rows and cols, so its null is the first one
+    head = json.dumps({**doc, "data": None}, indent=2)
+    return head.replace('"data": null', '"data": [\n' + body + "\n  ]", 1)
+
+
 def _emit(doc: dict, fmt: str, out) -> None:
-    if fmt == "json":
+    if fmt == "json" and doc["kind"] == "matrix" and doc["data"]:
+        text = _matrix_json(doc) + "\n"
+    elif fmt == "json":
         text = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
         text = _to_csv(doc)
@@ -154,13 +175,29 @@ def _to_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_state(path: str) -> np.ndarray:
-    """Column vector from a JSON matrix document."""
+def _read_matrix(path: str) -> np.ndarray:
+    """The complex matrix of a JSON matrix document; ValueError if the file
+    does not hold rows * cols numeric [re, im] pairs."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("cols") != 1 or len(doc.get("data", [])) != doc.get("rows"):
+    try:
+        rows, cols = doc["rows"], doc["cols"]
+        pairs = np.asarray(doc["data"], dtype=float)
+        ok = type(rows) is type(cols) is int and min(rows, cols) >= 0
+        ok = ok and pairs.shape == (rows * cols, 2)
+    except (KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{path}: not a matrix document of [re, im] pairs")
+    return pairs.view(complex).reshape(rows, cols)
+
+
+def _read_state(path: str) -> np.ndarray:
+    """Column vector from a JSON matrix document."""
+    matrix = _read_matrix(path)
+    if matrix.shape[1] != 1:
         raise ValueError("state file must be a matrix document with cols = 1")
-    return np.array([complex(re, im) for re, im in doc["data"]])
+    return matrix.reshape(-1)
 
 
 def _parse_probs(text: str) -> tuple:
@@ -381,13 +418,7 @@ _BUILTIN_CHANNELS = {
 def _read_channel(path: str) -> np.ndarray:
     if path in _BUILTIN_CHANNELS:
         return np.array(_BUILTIN_CHANNELS[path], dtype=complex)
-    with open(path) as fh:
-        doc = json.load(fh)
-    if len(doc.get("data", [])) != doc.get("rows", 0) * doc.get("cols", 0):
-        raise ValueError("channel file must be a matrix document")
-    return np.array([complex(re, im) for re, im in doc["data"]]).reshape(
-        doc["rows"], doc["cols"]
-    )
+    return _read_matrix(path)
 
 
 def _cmd_channel(args):

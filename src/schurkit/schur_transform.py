@@ -176,8 +176,13 @@ def _cascade(d: int, n: int) -> _WeightBlocks:
     for a in rows + cols + [stack for _, stack in classes]:
         a.flags.writeable = False
     by_weight = dict(zip(order, zip(rows, cols, views)))
-    pos = np.argsort(np.concatenate(rows))
-    return _WeightBlocks(codec, np.concatenate(cols), pos, classes, by_weight)
+    # the gathers in schur_conjugate skip bounds checks: prove them here
+    # (pos is a permutation exactly when the rows are)
+    all_rows, all_cols = np.concatenate(rows), np.concatenate(cols)
+    for what, perm in (("rows", all_rows), ("columns", all_cols)):
+        if not np.array_equal(np.sort(perm), np.arange(d**n)):
+            raise ValueError(f"weight blocks of S({d}, {n}) miss or repeat {what}")
+    return _WeightBlocks(codec, all_cols, np.argsort(all_rows), classes, by_weight)
 
 
 def _weight_blocks(d: int, n: int) -> _WeightBlocks:
@@ -252,8 +257,10 @@ def schur_conjugate(x, d: int, n: int) -> np.ndarray:
     half = _apply_blocks(classes, x[cols])
     y = half.T[cols]
     full_t = _apply_blocks(classes, y, out=half)
-    np.take(full_t, pos, axis=0, out=y)
-    return np.take(y, pos, axis=1, out=full_t).T
+    # mode="clip" spares the buffered copy that out= costs under "raise";
+    # _cascade has checked that cols and pos are permutations of range(D)
+    np.take(full_t, pos, axis=0, out=y, mode="clip")
+    return np.take(y, pos, axis=1, out=full_t, mode="clip").T
 
 
 def measure_schur(state, d: int, n: int, granularity: str = "lambda") -> dict:

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schurkit.cli import main
+from schurkit.cli import _build_parser, _emit, main, matrix_document
 
 SCHEMA = json.loads(
     resources.files("schurkit").joinpath("schemas/document.schema.json").read_text()
@@ -185,3 +189,78 @@ def test_bound_violation_exits_2(capsys, monkeypatch):
         capsys, "verify", "--d", "2", "--n", "3", "--trials", "2", "--tol", "1e-30"
     )
     assert code == 2
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _matrices(draw):
+    edge = st.sampled_from([(0, 0), (1, 1), (0, 3), (2, 0)])
+    rows, cols = draw(edge | st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    entry = st.sampled_from(_SPECIAL) | st.floats(allow_nan=True, allow_subnormal=True)
+    entries = st.lists(entry, min_size=rows * cols, max_size=rows * cols)
+    parts = [draw(entries), draw(entries)] if draw(st.booleans()) else [draw(entries)]
+    matrix = np.zeros((rows, cols), dtype=complex)
+    for k, part in enumerate(parts):  # set the halves, so -0.0 and NaN survive
+        matrix.view(np.float64)[:, k::2] = np.reshape(part, (rows, cols))
+    labels = st.lists(st.text() | st.just('"data": null'), min_size=rows, max_size=rows)
+    return matrix if len(parts) == 2 else matrix.real, draw(labels), list(range(cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_matrix_json_is_the_indented_dump(case):
+    matrix, row_labels, col_labels = case
+    doc = matrix_document(matrix, row_labels, col_labels)
+    # the data are the [re, im] pairs of the entries, bit for bit
+    pairs = [[float(v.real), float(v.imag)] for v in np.asarray(matrix, complex).reshape(-1)]
+    assert np.array_equal(
+        np.array(doc["data"]).reshape(-1, 2).view(np.int64),
+        np.array(pairs).reshape(-1, 2).view(np.int64),
+    )
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(doc, "json", None)
+    assert buf.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("schur", "--d", "2", "--n", "4"),
+        ("cg", "--d", "3", "--lambda", "2,1"),
+        ("qft", "--n", "3"),
+        ("channel", "--n", "2"),
+    ],
+)
+def test_json_output_is_the_indented_dump_of_the_document(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    args = _build_parser().parse_args(list(argv))
+    doc, _ = args.func(args)
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["gpe", "channel"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"kind": "matrix", "rows": 2, "cols": 1, "data": [["a", "b"], [0.0, 0.0]]},
+        {"kind": "matrix", "rows": 2, "cols": 1, "data": [[1.0], [0.0, 0.0]]},
+        {"kind": "matrix", "rows": 2, "cols": 1, "data": [[1.0], [0.0]]},
+        [[1.0, 0.0], [0.0, 0.0]],
+    ],
+    ids=["string-entry", "ragged-entry", "one-element-entries", "top-level-list"],
+)
+def test_malformed_matrix_files_exit_1(tmp_path, capsys, command, content):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(content))
+    argv = {
+        "gpe": ("gpe", "--state", str(path), "--d", "2", "--n", "1"),
+        "channel": ("channel", "--spec", str(path), "--n", "1"),
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "not a matrix document" in err
