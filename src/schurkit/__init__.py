@@ -50,7 +50,7 @@ from .schur_transform import (
     dfs_decode,
     dfs_encode,
     measure_schur,
-    schur_conjugate,
+    schur,
     schur_unitary,
 )
 from .sn_fourier import (
@@ -104,7 +104,7 @@ __all__ = [
     "rep_matrix_p",
     "rep_matrix_q",
     "rho_blocks",
-    "schur_conjugate",
+    "schur",
     "schur_poly",
     "schur_unitary",
     "sector_distribution",

@@ -106,7 +106,7 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
     u_n = np.asarray(u_n, dtype=complex)
     if u_n.shape != (db * de, da):
         raise ValueError("isometry must map C^da into C^db tensor C^de")
-    if np.abs(u_n.conj().T @ u_n - np.eye(da)).max() > 1e-10:
+    if not np.abs(u_n.conj().T @ u_n - np.eye(da)).max() <= 1e-10:
         raise ValueError("input is not an isometry")
     require_dense((db * de) ** n, da**n)
     big = collective_unitary(u_n, n)

@@ -104,7 +104,7 @@ def interlacing_partitions(lam, rows: int) -> list:
     lam = pad(lam, rows + 1)
 
     def gen(i):
-        if i == rows:
+        if i == rows or lam[i] == 0:  # below an empty row of lam, mu is 0
             yield ()
             return
         for v in range(lam[i], lam[i + 1] - 1, -1):
@@ -153,13 +153,12 @@ def dim_q(lam, d: int) -> int:
     (number of GZ patterns; Weyl product over shifted row differences)."""
     lam = normalize(lam)
     lt = _shifted(lam, d)
-    num = 1
-    for i in range(d):
+    num = den = 1
+    # a pair of empty rows contributes (j - i) / (j - i)
+    for i in range(len(lam)):
         for j in range(i + 1, d):
             num *= lt[i] - lt[j]
-    den = 1
-    for m in range(1, d):
-        den *= factorial(m)
+            den *= j - i
     q, r = divmod(num, den)
     assert r == 0
     return q

@@ -2,8 +2,8 @@
 verification that it simultaneously block-diagonalizes the collective
 unitary action and the qudit-permutation action.
 
-Every conjugation S X S^T here goes through schur_transform.schur_conjugate
-on the torus-weight blocks the cascade builds, never the dense S; the
+Every conjugation S X S^T here goes through SchurTransform.conjugate on
+the torus-weight blocks the cascade builds, never the dense S; the
 leakage of verify_block_diagonal is still measured over every off-lam-block
 entry of the full d^n x d^n conjugate.
 """
@@ -23,14 +23,14 @@ from .operators import (
     permute_columns_like,
 )
 from .permutations import check_permutation
-from .schur_transform import _weight_blocks, schur_conjugate
+from .schur_transform import schur
 
 
 def _require_unitary(u: np.ndarray, d: int, tol: float = 1e-8) -> np.ndarray:
     u = np.asarray(u)
     if u.shape != (d, d):
         raise ValueError(f"expected a {d} x {d} matrix")
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > tol:
+    if not np.abs(u.conj().T @ u - np.eye(d)).max() <= tol:
         raise ValueError("matrix is not unitary within tolerance")
     return u
 
@@ -38,15 +38,10 @@ def _require_unitary(u: np.ndarray, d: int, tol: float = 1e-8) -> np.ndarray:
 def rep_matrix_q(lam, u, d: int, n: int) -> DenseOperator:
     """The unitary-group irrep matrix q_lam(u) on the GZ basis, extracted
     from the Schur conjugation of u^{tensor n} at a fixed path index."""
-    lam = normalize(lam)
-    if lam not in enumerate_partitions(d, n):
-        raise ValueError(f"{lam} is not a partition of {n} with at most {d} rows")
     u = _require_unitary(u, d)
-    codec = _weight_blocks(d, n).codec
-    w = schur_conjugate(collective_unitary(u, n), d, n)
-    labels = list(range(1, dim_q(lam, d) + 1))
-    rows = [codec.index(lam, qi, 1) for qi in labels]
-    return DenseOperator(w[np.ix_(rows, rows)], row_labels=labels, col_labels=labels)
+    t = schur(d, n)
+    rows = [t.codec.index(lam, qi, 1) for qi in range(1, dim_q(lam, d) + 1)]
+    return _irrep_block(t, collective_unitary(u, n), rows)
 
 
 def rep_matrix_p(lam, s, d: int = None, n: int = None) -> DenseOperator:
@@ -57,16 +52,17 @@ def rep_matrix_p(lam, s, d: int = None, n: int = None) -> DenseOperator:
     if n is None:
         n = len(s)
     s = check_permutation(s, n)
-    if sum(lam) != n:
-        raise ValueError("lam and s must have matching size n")
     if d is None:
         d = max(len(lam), 1)
-    if len(lam) > d:
-        raise ValueError("lam has more than d rows")
-    codec = _weight_blocks(d, n).codec
-    w = schur_conjugate(permutation_action(s, d), d, n)
-    labels = list(range(1, dim_p(lam) + 1))
-    rows = [codec.index(lam, 1, pi) for pi in labels]
+    t = schur(d, n)
+    rows = [t.codec.index(lam, 1, pi) for pi in range(1, dim_p(lam) + 1)]
+    return _irrep_block(t, permutation_action(s, d), rows)
+
+
+def _irrep_block(t, x, rows) -> DenseOperator:
+    """The (rows, rows) block of S x S^T, labeled 1, 2, ..."""
+    w = t.conjugate(x)
+    labels = list(range(1, len(rows) + 1))
     return DenseOperator(w[np.ix_(rows, rows)], row_labels=labels, col_labels=labels)
 
 
@@ -92,12 +88,12 @@ def verify_block_diagonal(u, s, d: int, n: int, tol: float = 1e-10) -> IrrepBloc
     tableau contents."""
     u = _require_unitary(u, d, tol=max(tol, 1e-8))
     s = check_permutation(s, n)
-    codec = _weight_blocks(d, n).codec
-    w = schur_conjugate(permute_columns_like(collective_unitary(u, n), s, d), d, n)
+    t = schur(d, n)
+    w = t.conjugate(permute_columns_like(collective_unitary(u, n), s, d))
     report = IrrepBlockReport(d=d, n=n, leakage=0.0)
     absw = np.abs(w)
     for lam in enumerate_partitions(d, n):
-        sl = codec.block_slice(lam)
+        sl = t.codec.block_slice(lam)
         absw[sl, sl] = 0.0
         block = w[sl, sl]
         nq, np_ = dim_q(lam, d), dim_p(lam)
@@ -125,16 +121,16 @@ def rho_blocks(rho, n: int) -> dict:
     d = rho.shape[0]
     if rho.shape != (d, d):
         raise ValueError("rho must be square")
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
+    if not np.abs(rho - rho.conj().T).max() <= 1e-10:
         raise ValueError("rho must be Hermitian")
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -1e-10 or abs(rho.trace().real - 1.0) > 1e-10:
         raise ValueError("rho must be a density matrix (PSD, trace 1)")
-    codec = _weight_blocks(d, n).codec
-    w = schur_conjugate(collective_unitary(rho, n), d, n)
+    t = schur(d, n)
+    w = t.conjugate(collective_unitary(rho, n))
     out = {}
     for lam in enumerate_partitions(d, n):
-        sl = codec.block_slice(lam)
+        sl = t.codec.block_slice(lam)
         nq, np_ = dim_q(lam, d), dim_p(lam)
         b4 = w[sl, sl].reshape(nq, np_, nq, np_)
         q_block = np.einsum("apbp->ab", b4)  # trace over the p register

@@ -25,7 +25,7 @@ from .combinatorics import (
     schur_poly,
 )
 from .operators import DenseOperator, collective_unitary
-from .schur_transform import _weight_blocks, schur_conjugate
+from .schur_transform import schur
 
 
 def entropy(p) -> float:
@@ -48,7 +48,7 @@ def _as_prob_vector(r) -> tuple:
     r = tuple(float(x) for x in r)
     if any(x < 0 for x in r):
         raise ValueError("probabilities must be nonnegative")
-    if abs(sum(r) - 1.0) > 1e-9:
+    if not abs(sum(r) - 1.0) <= 1e-9:
         raise ValueError("probabilities must sum to 1")
     return r
 
@@ -293,20 +293,20 @@ def concentrate(psi, n: int) -> ConcentrationReport:
     d = int(round(math.sqrt(psi.shape[0])))
     if d * d != psi.shape[0]:
         raise ValueError("psi must live on C^d x C^d")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
         raise ValueError("psi must be normalized")
-    codec = _weight_blocks(d, n).codec
+    t = schur(d, n)
     # reorder psi^{tensor n} from (a1 b1 ... an bn) to (a1..an b1..bn)
     state = collective_unitary(psi.reshape(1, -1), n).reshape((d, d) * n)
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     state = np.transpose(state, order).reshape(d**n, d**n)
-    both = schur_conjugate(state, d, n)  # rows: Alice labels, cols: Bob labels
+    both = t.conjugate(state)  # rows: Alice labels, cols: Bob labels
     report = ConcentrationReport(
         n=n, outcome_weights={}, off_diagonal_mass=0.0, schmidt_values={}
     )
     total = 0.0
     for lam in enumerate_partitions(d, n):
-        sl = codec.block_slice(lam)
+        sl = t.codec.block_slice(lam)
         nq, np_ = dim_q(lam, d), dim_p(lam)
         block = both[sl, sl]
         w = float((np.abs(block) ** 2).sum())

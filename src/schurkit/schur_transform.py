@@ -9,9 +9,8 @@ schur_unitary assembles the dense matrix.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .operators import (
 )
 from .permutations import all_permutations, cycle_type
 from .wigner import cg_block, cg_output_blocks
+
 
 class SchurLabelCodec:
     """Deterministic ordering of (lam, q, p) triples onto output row indices.
@@ -58,6 +58,10 @@ class SchurLabelCodec:
 
     def index(self, lam, qi: int, pi: int) -> int:
         lam = normalize(lam)
+        if lam not in self._offset:
+            raise ValueError(
+                f"{lam} is not a partition of {self.n} with at most {self.d} rows"
+            )
         return self._offset[lam] + (qi - 1) * dim_p(lam) + (pi - 1)
 
     def label(self, row: int) -> tuple:
@@ -65,8 +69,7 @@ class SchurLabelCodec:
 
     def block_slice(self, lam) -> slice:
         """Row range of the lam sector (size dim_q * dim_p)."""
-        lam = normalize(lam)
-        start = self._offset[lam]
+        start = self.index(lam, 1, 1)
         return slice(start, start + dim_q(lam, self.d) * dim_p(lam))
 
     def row_strings(self) -> list:
@@ -76,20 +79,6 @@ class SchurLabelCodec:
 
     def gz_pattern(self, lam, qi: int):
         return enumerate_gz(normalize(lam), self.d)[qi - 1]
-
-
-class _WeightBlocks(NamedTuple):
-    """S as its torus-weight blocks, ordered by size.  by_weight maps a
-    weight (the letter counts) to the block's codec rows and computational
-    columns, both ascending, and its matrix; classes holds (start, (k, m, m)
-    stack) per block size, cols the columns in block order and pos[r] the
-    block-order position of codec row r.  All arrays are read-only."""
-
-    codec: SchurLabelCodec
-    cols: np.ndarray
-    pos: np.ndarray
-    classes: list
-    by_weight: dict
 
 
 @lru_cache(maxsize=None)
@@ -102,9 +91,9 @@ def _weight_classes(lam, d: int) -> dict:
     return {w: np.array(ks) for w, ks in out.items()}
 
 
-@lru_cache(maxsize=None)
-def _cascade(d: int, n: int) -> _WeightBlocks:
-    """Build S by cascading Clebsch-Gordan blocks, one torus weight at a time.
+class SchurTransform:
+    """The Schur transform S(d, n), built by cascading Clebsch-Gordan blocks
+    one torus weight at a time; get one through schur(d, n).
 
     A CG step maps weight w tensor e_i to w + e_i.  The Young-Yamanouchi
     paths are stacked per top shape, with their amplitudes kept per letter
@@ -112,95 +101,156 @@ def _cascade(d: int, n: int) -> _WeightBlocks:
     array; the words of content w are those of content w - e_i followed by
     letter i, for each i in turn.  Raises ValueError if a CG block couples
     (q, i) to a pattern of weight other than weight(q) + e_i.
+
+    S is kept as its torus-weight blocks, ordered by size.  by_weight maps
+    a weight (the letter counts) to the block's codec rows and computational
+    columns, both ascending, and its matrix; classes holds (start, (k, m, m)
+    stack) per block size, cols the columns in block order and pos[r] the
+    block-order position of codec row r.  All arrays are read-only.
     """
-    codec = SchurLabelCodec(d, n)
-    # one qudit: letter i is the pattern of (1,) with weight e_i
-    words = {w: np.array([w.index(1)]) for w in _weight_classes((1,), d)}
-    tops = {(1,): ([((1,),)], {w: np.ones((1, 1, 1)) for w in words})}
-    for _ in range(1, n):
-        # grown content -> its (letter, content) segments in letter order
-        segments = {}
-        for i in range(d):
-            for w in words:
-                segments.setdefault(w[:i] + (w[i] + 1,) + w[i + 1 :], []).append((i, w))
-        grown = {}
-        for mu, (paths, amps) in tops.items():
-            cg = cg_block(mu, d).matrix
-            q_of = _weight_classes(mu, d)
-            unread = cg.copy()  # what is left once every product has read its entries
-            for lp, sl in cg_output_blocks(mu, d):
-                new_paths, new_amps = grown.setdefault(lp, ([], {}))
-                new_paths += [path + (lp,) for path in paths]
-                for w, ks in _weight_classes(lp, d).items():
-                    parts = []
-                    for i, v in segments[w]:
-                        if v not in q_of:
-                            parts.append(np.zeros((len(ks), len(paths), len(words[v]))))
-                            continue
-                        cell = np.ix_(sl.start + ks, q_of[v] * d + i)
-                        prod = cg[cell] @ amps[v].reshape(len(q_of[v]), -1)
-                        parts.append(prod.reshape(len(ks), len(paths), -1))
-                        unread[cell] = 0.0
-                    new_amps.setdefault(w, []).append(np.concatenate(parts, axis=2))
-            if unread.any():
-                raise ValueError(f"CG block of {mu} at d={d} breaks torus weight")
-        words = {
-            w: np.concatenate([words[v] * d + i for i, v in seg])
-            for w, seg in segments.items()
-        }
-        tops = {
-            lp: (paths, {w: np.concatenate(a, axis=1) for w, a in amps.items()})
-            for lp, (paths, amps) in grown.items()
-        }
-    # the finished rows per weight, ascending: shapes in codec order, then
-    # patterns in enumerate_gz order, then paths by yy_index
-    rows, blocks = {}, {}
-    for lam in enumerate_partitions(d, n):
-        paths, amps = tops[lam]
-        by_p = np.argsort([yy_index(path) for path in paths])
-        for w, a in amps.items():
-            qs = _weight_classes(lam, d)[w][:, None]
-            r = codec.index(lam, 1, 1) + qs * len(paths) + np.arange(len(paths))
-            rows.setdefault(w, []).append(r.reshape(-1))
-            blocks.setdefault(w, []).append(a[:, by_p].reshape(r.size, -1))
-    # blocks by size, ties in descending order of the letter counts
-    order = sorted(sorted(words, reverse=True), key=lambda w: len(words[w]))
-    rows = [np.concatenate(rows[w]) for w in order]
-    cols = [np.sort(words[w]) for w in order]
-    blocks = [np.concatenate(blocks[w])[:, np.argsort(words[w])] for w in order]
-    classes, start = [], 0
-    for m, group in groupby(blocks, key=len):
-        classes.append((start, np.stack(list(group))))
-        start += classes[-1][1].size // m
-    views = [block for _, stack in classes for block in stack]
-    for a in rows + cols + [stack for _, stack in classes]:
-        a.flags.writeable = False
-    by_weight = dict(zip(order, zip(rows, cols, views)))
-    # the gathers in schur_conjugate skip bounds checks: prove them here
-    # (pos is a permutation exactly when the rows are)
-    all_rows, all_cols = np.concatenate(rows), np.concatenate(cols)
-    for what, perm in (("rows", all_rows), ("columns", all_cols)):
-        if not np.array_equal(np.sort(perm), np.arange(d**n)):
-            raise ValueError(f"weight blocks of S({d}, {n}) miss or repeat {what}")
-    return _WeightBlocks(codec, all_cols, np.argsort(all_rows), classes, by_weight)
+
+    def __init__(self, d: int, n: int):
+        self.codec = codec = SchurLabelCodec(d, n)
+        # one qudit: letter i is the pattern of (1,) with weight e_i
+        words = {w: np.array([w.index(1)]) for w in _weight_classes((1,), d)}
+        tops = {(1,): ([((1,),)], {w: np.ones((1, 1, 1)) for w in words})}
+        for _ in range(1, n):
+            # grown content -> its (letter, content) segments in letter order
+            segments = {}
+            for i in range(d):
+                for w in words:
+                    segments.setdefault(w[:i] + (w[i] + 1,) + w[i + 1 :], []).append((i, w))
+            grown = {}
+            for mu, (paths, amps) in tops.items():
+                cg = cg_block(mu, d).matrix
+                q_of = _weight_classes(mu, d)
+                unread = cg.copy()  # what is left once every product has read its entries
+                for lp, sl in cg_output_blocks(mu, d):
+                    new_paths, new_amps = grown.setdefault(lp, ([], {}))
+                    new_paths += [path + (lp,) for path in paths]
+                    for w, ks in _weight_classes(lp, d).items():
+                        parts = []
+                        for i, v in segments[w]:
+                            if v not in q_of:
+                                parts.append(np.zeros((len(ks), len(paths), len(words[v]))))
+                                continue
+                            cell = np.ix_(sl.start + ks, q_of[v] * d + i)
+                            prod = cg[cell] @ amps[v].reshape(len(q_of[v]), -1)
+                            parts.append(prod.reshape(len(ks), len(paths), -1))
+                            unread[cell] = 0.0
+                        new_amps.setdefault(w, []).append(np.concatenate(parts, axis=2))
+                if unread.any():
+                    raise ValueError(f"CG block of {mu} at d={d} breaks torus weight")
+            words = {
+                w: np.concatenate([words[v] * d + i for i, v in seg])
+                for w, seg in segments.items()
+            }
+            tops = {
+                lp: (paths, {w: np.concatenate(a, axis=1) for w, a in amps.items()})
+                for lp, (paths, amps) in grown.items()
+            }
+        # the finished rows per weight, ascending: shapes in codec order, then
+        # patterns in enumerate_gz order, then paths by yy_index
+        rows, blocks = {}, {}
+        for lam in enumerate_partitions(d, n):
+            paths, amps = tops[lam]
+            by_p = np.argsort([yy_index(path) for path in paths])
+            for w, a in amps.items():
+                qs = _weight_classes(lam, d)[w][:, None]
+                r = codec.index(lam, 1, 1) + qs * len(paths) + np.arange(len(paths))
+                rows.setdefault(w, []).append(r.reshape(-1))
+                blocks.setdefault(w, []).append(a[:, by_p].reshape(r.size, -1))
+        # blocks by size, ties in descending order of the letter counts
+        order = sorted(sorted(words, reverse=True), key=lambda w: len(words[w]))
+        rows = [np.concatenate(rows[w]) for w in order]
+        cols = [np.sort(words[w]) for w in order]
+        blocks = [np.concatenate(blocks[w])[:, np.argsort(words[w])] for w in order]
+        classes, start = [], 0
+        for m, group in groupby(blocks, key=len):
+            classes.append((start, np.stack(list(group))))
+            start += classes[-1][1].size // m
+        views = [block for _, stack in classes for block in stack]
+        for a in rows + cols + [stack for _, stack in classes]:
+            a.flags.writeable = False
+        self.by_weight = dict(zip(order, zip(rows, cols, views)))
+        # the gathers in conjugate skip bounds checks: prove them here
+        # (pos is a permutation exactly when the rows are)
+        all_rows, all_cols = np.concatenate(rows), np.concatenate(cols)
+        for what, perm in (("rows", all_rows), ("columns", all_cols)):
+            if not np.array_equal(np.sort(perm), np.arange(d**n)):
+                raise ValueError(f"weight blocks of S({d}, {n}) miss or repeat {what}")
+        self.classes, self.cols, self.pos = classes, all_cols, np.argsort(all_rows)
+
+    @cached_property
+    def dense(self) -> DenseOperator:
+        """S as a (d^n x d^n) DenseOperator, assembled from the blocks on
+        first request."""
+        dim = len(self.codec)
+        u = np.zeros((dim, dim))
+        for rows, cols, block in self.by_weight.values():
+            u[np.ix_(rows, cols)] = block
+        return DenseOperator(u, row_labels=self.codec.triples, col_labels=range(dim))
+
+    def _blockdiag_matmul(self, y: np.ndarray, out=None) -> np.ndarray:
+        """blockdiag(S) @ y for y in block order (rows) and any columns,
+        into out if given; a complex y is multiplied through its float64
+        view, so every product is a real GEMM."""
+        y = np.ascontiguousarray(y)
+        out = np.empty_like(y) if out is None else out
+        flat, flat_out = (a.view(np.float64).reshape(len(y), -1) for a in (y, out))
+        for start, blocks in self.classes:
+            k, m, _ = blocks.shape
+            stop = start + k * m
+            np.matmul(
+                blocks,
+                flat[start:stop].reshape(k, m, -1),
+                out=flat_out[start:stop].reshape(k, m, -1),
+            )
+        return out
+
+    def apply(self, x) -> np.ndarray:
+        """S x in codec order for a real or complex x with d^n rows."""
+        x = np.asarray(x)
+        x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
+        if len(x) != len(self.codec):
+            raise ValueError(f"expected {len(self.codec)} rows, got {len(x)}")
+        return self._blockdiag_matmul(x[self.cols])[self.pos]
+
+    def conjugate(self, x) -> np.ndarray:
+        """S x S^T in codec order (S real) for a real or complex (d^n x d^n) x.
+
+        Works on the weight blocks of S: one batched product per block size
+        on each side, O(D * sum_w D_w^2) work for D = d^n and block sizes
+        D_w, instead of the D^3 of a dense product.
+        """
+        x = np.asarray(x)
+        x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
+        dim = len(self.codec)
+        if x.shape != (dim, dim):
+            raise ValueError(f"expected a ({dim} x {dim}) matrix, got {x.shape}")
+        cols, pos = self.cols, self.pos
+        # with x_w = x[cols][:, cols] and B = blockdiag(S) in block order, each
+        # product acts on rows only: B (B x_w)^T = (B x_w B^T)^T; the gathers put
+        # rows and columns in place in two D x D buffers (the result is a .T view)
+        half = self._blockdiag_matmul(x[cols])
+        y = half.T[cols]
+        full_t = self._blockdiag_matmul(y, out=half)
+        # mode="clip" spares the buffered copy that out= costs under "raise";
+        # __init__ has checked that cols and pos are permutations of range(D)
+        np.take(full_t, pos, axis=0, out=y, mode="clip")
+        return np.take(y, pos, axis=1, out=full_t, mode="clip").T
 
 
-def _weight_blocks(d: int, n: int) -> _WeightBlocks:
-    """The cached weight blocks of S(d, n), behind the dense guard."""
+_transforms = lru_cache(maxsize=None)(SchurTransform)
+
+
+def schur(d: int, n: int) -> SchurTransform:
+    """The cached Schur transform S(d, n).  The dense guard on d^n runs on
+    every call, so a lowered cap also rejects a transform built earlier."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     require_dense(d**n)
-    return _cascade(d, n)
-
-
-@lru_cache(maxsize=None)
-def _schur_pair(d: int, n: int):
-    blocks = _cascade(d, n)
-    u = np.zeros((d**n, d**n))
-    for rows, cols, block in blocks.by_weight.values():
-        u[np.ix_(rows, cols)] = block
-    labels = blocks.codec.triples
-    return DenseOperator(u, row_labels=labels, col_labels=range(d**n)), blocks.codec
+    return _transforms(d, n)
 
 
 def schur_unitary(d: int, n: int):
@@ -210,57 +260,9 @@ def schur_unitary(d: int, n: int):
     The multiplicity record of the cascade (which row received a box at each
     step) is a Young-Yamanouchi path and is always compressed to the path
     index p via yy_index; yy_unindex recovers the raw record.
-
-    This dense view is assembled from the weight blocks on first request
-    and cached; the dense guard runs on every call, before the cache is
-    consulted.
     """
-    _weight_blocks(d, n)  # validates d and n, runs the dense guard
-    return _schur_pair(d, n)
-
-
-def _apply_blocks(classes, y: np.ndarray, out=None) -> np.ndarray:
-    """blockdiag(S) @ y for y in block order (rows) and any columns, into
-    out if given; a complex y is multiplied through its float64 view, so
-    every product is a real GEMM."""
-    y = np.ascontiguousarray(y)
-    out = np.empty_like(y) if out is None else out
-    flat, flat_out = (a.view(np.float64).reshape(len(y), -1) for a in (y, out))
-    for start, blocks in classes:
-        k, m, _ = blocks.shape
-        stop = start + k * m
-        np.matmul(
-            blocks,
-            flat[start:stop].reshape(k, m, -1),
-            out=flat_out[start:stop].reshape(k, m, -1),
-        )
-    return out
-
-
-def schur_conjugate(x, d: int, n: int) -> np.ndarray:
-    """S x S^T in codec order (S real) for a real or complex (d^n x d^n) x.
-
-    Works on the weight blocks of S: one batched product per block size on
-    each side, O(D * sum_w D_w^2) work for D = d^n and block sizes D_w,
-    instead of the D^3 of a dense product.
-    """
-    x = np.asarray(x)
-    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
-    dim = d**n
-    if x.shape != (dim, dim):
-        raise ValueError(f"expected a ({dim} x {dim}) matrix, got {x.shape}")
-    blocks = _weight_blocks(d, n)
-    cols, pos, classes = blocks.cols, blocks.pos, blocks.classes
-    # with x_w = x[cols][:, cols] and B = blockdiag(S) in block order, each
-    # product acts on rows only: B (B x_w)^T = (B x_w B^T)^T; the gathers put
-    # rows and columns in place in two D x D buffers (the result is a .T view)
-    half = _apply_blocks(classes, x[cols])
-    y = half.T[cols]
-    full_t = _apply_blocks(classes, y, out=half)
-    # mode="clip" spares the buffered copy that out= costs under "raise";
-    # _cascade has checked that cols and pos are permutations of range(D)
-    np.take(full_t, pos, axis=0, out=y, mode="clip")
-    return np.take(y, pos, axis=1, out=full_t, mode="clip").T
+    t = schur(d, n)
+    return t.dense, t.codec
 
 
 def measure_schur(state, d: int, n: int, granularity: str = "lambda") -> dict:
@@ -270,17 +272,14 @@ def measure_schur(state, d: int, n: int, granularity: str = "lambda") -> dict:
     "full" by (lam, q-index, p-index).  Probabilities sum to 1.
     """
     state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.shape[0] != d**n:
-        raise ValueError("state length must be d^n")
-    if abs(np.linalg.norm(state) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(state) - 1.0) <= 1e-8:
         raise ValueError("state must be normalized")
     width = {"lambda": 1, "lambda_q": 2, "full": 3}.get(granularity)
     if width is None:
         raise ValueError(f"unknown granularity: {granularity}")
-    blocks = _weight_blocks(d, n)
-    amps = _apply_blocks(blocks.classes, state[blocks.cols])[blocks.pos]
+    t = schur(d, n)
     table = {}
-    for label, p in zip(blocks.codec.triples, np.abs(amps) ** 2):
+    for label, p in zip(t.codec.triples, np.abs(t.apply(state)) ** 2):
         key = label[0] if width == 1 else label[:width]
         table[key] = table.get(key, 0.0) + float(p)
     return table
@@ -315,9 +314,9 @@ def _dfs_sector(lam, q, vec, encode: bool, d: int, n: int):
     q is an index in [1, dim_q(lam)] or one of lam's GZ patterns, and vec
     has length dim_p(lam) (encode) or d^n (decode).
     """
+    t = schur(d, n)
     lam = normalize(lam)
-    if lam not in enumerate_partitions(d, n):
-        raise ValueError(f"{lam} is not a partition of {n} with at most {d} rows")
+    first = t.codec.index(lam, 1, 1)
     patterns = enumerate_gz(lam, d)
     qi = q if isinstance(q, (int, np.integer)) else patterns.index(tuple(q)) + 1
     if not 1 <= qi <= len(patterns):
@@ -326,10 +325,9 @@ def _dfs_sector(lam, q, vec, encode: bool, d: int, n: int):
     length = dim_p(lam) if encode else d**n
     if vec.shape[0] != length:
         raise ValueError(f"vector length must be {length}")
-    blocks = _weight_blocks(d, n)
     # the sector's rows are consecutive rows of the block of its weight
-    rows, cols, block = blocks.by_weight[gz_weight(patterns[qi - 1])]
-    top = np.searchsorted(rows, blocks.codec.index(lam, qi, 1))
+    rows, cols, block = t.by_weight[gz_weight(patterns[qi - 1])]
+    top = np.searchsorted(rows, first + (qi - 1) * dim_p(lam))
     return block[top : top + dim_p(lam)], cols, vec
 
 

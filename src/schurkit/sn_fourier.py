@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import schur_transform
 from .characters import young_orthogonal
 from .combinatorics import dim_p, enumerate_partitions
 from .operators import DenseOperator, _image_indices, require_dense
 from .permutations import all_permutations, compose, inverse, perm_index, transposition
+from .schur_transform import schur
 
 
 @dataclass
@@ -48,11 +48,11 @@ def sn_qft_from_schur(n: int):
     multiplication on b; each block matches the standard Fourier convention
     up to a fixed sign on each row.
     """
-    blocks = schur_transform._weight_blocks(n, n)
+    t = schur(n, n)
     # the rows of the weight (1, ..., 1) block are in codec order and its
     # columns, the words with distinct letters in increasing index order,
     # in all_permutations order
-    rows, _, block = blocks.by_weight[(1,) * n]
+    rows, _, block = t.by_weight[(1,) * n]
     layout = FourierBlockLayout(n=n)
     start = 0
     for lam in enumerate_partitions(n, n):
@@ -60,7 +60,7 @@ def sn_qft_from_schur(n: int):
         start += dim_p(lam) ** 2
     op = DenseOperator(
         block.copy(),
-        row_labels=[blocks.codec.label(r) for r in rows],
+        row_labels=[t.codec.label(r) for r in rows],
         col_labels=list(all_permutations(n)),
     )
     return op, layout

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurkit.cli import _build_parser, _emit, main, matrix_document
+from schurkit.cli import _build_parser, _emit, _num, main, matrix_document
 
 SCHEMA = json.loads(
     resources.files("schurkit").joinpath("schemas/document.schema.json").read_text()
@@ -223,6 +223,15 @@ def test_matrix_json_is_the_indented_dump(case):
     with contextlib.redirect_stdout(buf):
         _emit(doc, "json", None)
     assert buf.getvalue() == json.dumps(doc, indent=2) + "\n"
+    # the CSV form against one _num call per entry
+    cols = doc["cols"]
+    lines = ["row,col,re,im"] + [
+        f"{k // cols},{k % cols},{_num(re)},{_num(im)}" for k, (re, im) in enumerate(doc["data"])
+    ]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(doc, "csv", None)
+    assert buf.getvalue() == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -250,8 +259,17 @@ def test_json_output_is_the_indented_dump_of_the_document(capsys, argv):
         {"kind": "matrix", "rows": 2, "cols": 1, "data": [[1.0], [0.0, 0.0]]},
         {"kind": "matrix", "rows": 2, "cols": 1, "data": [[1.0], [0.0]]},
         [[1.0, 0.0], [0.0, 0.0]],
+        {"kind": "matrix", "rows": 2, "cols": 1, "data": [[np.nan, 0.0], [0.0, 0.0]]},
+        {"kind": "matrix", "rows": 2, "cols": 1, "data": [[1.0, 0.0], [np.inf, 0.0]]},
     ],
-    ids=["string-entry", "ragged-entry", "one-element-entries", "top-level-list"],
+    ids=[
+        "string-entry",
+        "ragged-entry",
+        "one-element-entries",
+        "top-level-list",
+        "nan-entry",
+        "infinite-entry",
+    ],
 )
 def test_malformed_matrix_files_exit_1(tmp_path, capsys, command, content):
     path = tmp_path / "m.json"

@@ -78,7 +78,9 @@ def test_add_remove_box_are_converse():
             assert lam in add_box(lm, 3)
 
 
-@pytest.mark.parametrize("d,n", [(2, 4), (3, 4), (3, 5), (4, 4)])
+@pytest.mark.parametrize(
+    "d,n", [(2, 4), (3, 4), (3, 5), (4, 4), (64, 1), (256, 1), (16, 2)]
+)
 def test_dimension_formulas_match_enumerations(d, n):
     for lam in enumerate_partitions(d, n):
         assert dim_q(lam, d) == len(enumerate_gz(lam, d))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurkit import schur_transform
+from schurkit.channels import channel_normal_form
 from schurkit.combinatorics import (
     dim_p,
     dim_q,
@@ -14,16 +15,22 @@ from schurkit.combinatorics import (
     enumerate_partitions,
     gz_weight,
 )
-from schurkit.duality_checks import rho_blocks, verify_block_diagonal
+from schurkit.duality_checks import (
+    rep_matrix_p,
+    rep_matrix_q,
+    rho_blocks,
+    verify_block_diagonal,
+)
 from schurkit.operators import DenseOperator, dense_cap
-from schurkit.qtypes import concentrate
+from schurkit.qtypes import concentrate, sector_distribution
 from schurkit.schur_transform import (
     SchurLabelCodec,
+    SchurTransform,
     central_projector_oracle,
     dfs_decode,
     dfs_encode,
     measure_schur,
-    schur_conjugate,
+    schur,
     schur_unitary,
 )
 from schurkit.sn_fourier import sn_qft_from_schur
@@ -133,6 +140,40 @@ def test_lowered_cap_rejects_cached_transforms(monkeypatch, rng):
         verify_block_diagonal(np.eye(2), (2, 1, 3, 4), 2, 4)
     with pytest.raises(ValueError, match="exceeds cap"):
         measure_schur(random_state(rng, 16), 2, 4)
+    p_state = random_state(rng, dim_p((3, 1)))
+    psi = np.array([0.8, 0, 0, 0.6])
+    consumers = [
+        lambda: dfs_encode((3, 1), 1, p_state, 2, 4),
+        lambda: dfs_decode((3, 1), 1, random_state(rng, 16), 2, 4),
+        lambda: rep_matrix_q((3, 1), np.eye(2), 2, 4),
+        lambda: rep_matrix_p((3, 1), (2, 1, 3, 4), 2, 4),
+        lambda: rho_blocks(np.diag([0.7, 0.3]), 4),
+        lambda: concentrate(psi, 4),
+        lambda: sn_qft_from_schur(4),
+        lambda: schur(2, 4).conjugate(np.eye(16)),
+    ]
+    for call in consumers:
+        with pytest.raises(ValueError, match="exceeds cap"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: measure_schur(np.full(8, np.nan), 2, 3), "normalized"),
+        (lambda: concentrate(np.array([np.nan, 0, 0, 1.0]), 2), "normalized"),
+        (lambda: verify_block_diagonal(np.full((2, 2), np.nan), (2, 1), 2, 2), "unitary"),
+        (lambda: rep_matrix_q((2,), np.diag([1.0, np.nan]), 2, 2), "unitary"),
+        (lambda: channel_normal_form(np.full((4, 2), np.nan), 2), "isometry"),
+        (lambda: rho_blocks(np.diag([np.nan, 1.0]), 2), "Hermitian"),
+        (lambda: sector_distribution((np.nan, 0.5), 4), "sum to 1"),
+    ],
+    ids=["measure", "concentrate", "verify", "rep_q", "channel", "rho", "probs"],
+)
+def test_non_finite_inputs_raise_value_error(call, message):
+    # every tolerance check must fail on NaN, which compares false both ways
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -169,14 +210,17 @@ def test_schur_conjugate_matches_dense_product(d, n, rng):
     dim = d**n
     real = rng.normal(size=(dim, dim))
     for x in (real, real + 1j * rng.normal(size=(dim, dim))):
-        assert np.abs(schur_conjugate(x, d, n) - s @ x @ s.T).max() < 1e-12
+        assert np.abs(schur(d, n).conjugate(x) - s @ x @ s.T).max() < 1e-12
+    assert np.abs(schur(d, n).apply(real) - s @ real).max() < 1e-12
 
 
 def test_schur_conjugate_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        schur_conjugate(np.eye(4), 2, 3)
+        schur(2, 3).conjugate(np.eye(4))
     with pytest.raises(ValueError):
-        schur_conjugate(np.ones((8, 4)), 2, 3)
+        schur(2, 3).conjugate(np.ones((8, 4)))
+    with pytest.raises(ValueError):
+        schur(2, 3).apply(np.ones(4))
 
 
 def test_cascade_rejects_cg_block_that_breaks_weight(monkeypatch):
@@ -199,7 +243,7 @@ def test_cascade_rejects_cg_block_that_breaks_weight(monkeypatch):
 
     monkeypatch.setattr(schur_transform, "cg_block", leaky_cg_block)
     with pytest.raises(ValueError, match="breaks torus weight"):
-        schur_transform._cascade.__wrapped__(2, 3)
+        SchurTransform(2, 3)
 
 
 def test_products_with_s_never_form_the_dense_matrix(monkeypatch, rng):
@@ -207,10 +251,10 @@ def test_products_with_s_never_form_the_dense_matrix(monkeypatch, rng):
     s = schur_unitary(d, n)[0].matrix
     codec = SchurLabelCodec(d, n)
 
-    def refuse(d, n):
+    def refuse(self):
         raise AssertionError("the dense Schur transform was formed")
 
-    monkeypatch.setattr(schur_transform, "_schur_pair", refuse)
+    monkeypatch.setattr(SchurTransform, "dense", property(refuse))
     with pytest.raises(AssertionError):
         schur_unitary(d, n)
     state = random_state(rng, d**n)
@@ -223,7 +267,7 @@ def test_products_with_s_never_form_the_dense_matrix(monkeypatch, rng):
     assert np.abs(encoded - p_state @ s[rows]).max() < 1e-12
     assert np.abs(dfs_decode((3, 2), 2, encoded, d, n) - p_state).max() < 1e-12
     x = rng.normal(size=(d**n, d**n))
-    assert np.abs(schur_conjugate(x, d, n) - s @ x @ s.T).max() < 1e-12
+    assert np.abs(schur(d, n).conjugate(x) - s @ x @ s.T).max() < 1e-12
     assert verify_block_diagonal(haar_unitary(rng, d), (2, 1, 3, 5, 4), d, n).leakage < 1e-10
     rho = np.diag([0.7, 0.3])
     assert abs(sum(w for w, _, _ in rho_blocks(rho, n).values()) - 1.0) < 1e-12
