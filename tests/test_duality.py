@@ -48,6 +48,8 @@ def test_rep_matrix_q_rejects_foreign_partitions(lam):
     # (2, 1) is not a partition of 4; (1, 1, 1, 1) has more than d = 2 rows
     with pytest.raises(ValueError):
         rep_matrix_q(lam, np.eye(2), 2, 4)
+    with pytest.raises(ValueError):
+        rep_matrix_p(lam, (2, 1, 3, 4), 2, 4)
 
 
 def test_rep_matrix_p_is_youngs_orthogonal_form():
