@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import character, young_orthogonal
-from .combinatorics import dim_p, dim_q, enumerate_partitions, normalize
+from .combinatorics import dim_p, normalize
 from .operators import collective_unitary, require_dense
 from .permutations import all_permutations, conjugacy_classes
 from .schur_transform import schur_unitary
@@ -124,15 +124,9 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
     coefficients = {}
     bases = {}
     residual = 0.0
-    for lam_a in enumerate_partitions(da, n):
-        sl_a = codec_a.block_slice(lam_a)
-        ka, nqa = dim_p(lam_a), dim_q(lam_a, da)
-        for lam_b in enumerate_partitions(db, n):
-            sl_b = codec_b.block_slice(lam_b)
-            kb, nqb = dim_p(lam_b), dim_q(lam_b, db)
-            for lam_e in enumerate_partitions(de, n):
-                sl_e = codec_e.block_slice(lam_e)
-                ke, nqe = dim_p(lam_e), dim_q(lam_e, de)
+    for lam_a, (sl_a, nqa, ka) in codec_a.sectors.items():
+        for lam_b, (sl_b, nqb, kb) in codec_b.sectors.items():
+            for lam_e, (sl_e, nqe, ke) in codec_e.sectors.items():
                 t = conj[sl_b, sl_e, sl_a].reshape(nqb, kb, nqe, ke, nqa, ka)
                 # rows (qB, qE, qA), columns the permutation part (pA, pB, pE)
                 w = t.transpose(0, 2, 4, 5, 1, 3).reshape(nqb * nqe * nqa, -1)
@@ -152,8 +146,7 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
     # isometry relation: for each lamA, the coefficient matrix
     # [rows (lamB,lamE,qB,qE,alpha)] x [cols qA] has V dagger V = dim_p(lamA) I
     iso_res = 0.0
-    for lam_a in enumerate_partitions(da, n):
-        nqa, ka = dim_q(lam_a, da), dim_p(lam_a)
+    for lam_a, (_, nqa, ka) in codec_a.sectors.items():
         rows = sorted({k[2:] for k in coefficients if k[0] == lam_a})
         v = np.zeros((len(rows), nqa), dtype=complex)
         index = {r: i for i, r in enumerate(rows)}

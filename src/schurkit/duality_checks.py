@@ -92,11 +92,9 @@ def verify_block_diagonal(u, s, d: int, n: int, tol: float = 1e-10) -> IrrepBloc
     w = t.conjugate(permute_columns_like(collective_unitary(u, n), s, d))
     report = IrrepBlockReport(d=d, n=n, leakage=0.0)
     absw = np.abs(w)
-    for lam in enumerate_partitions(d, n):
-        sl = t.codec.block_slice(lam)
+    for lam, (sl, nq, np_) in t.codec.sectors.items():
         absw[sl, sl] = 0.0
         block = w[sl, sl]
-        nq, np_ = dim_q(lam, d), dim_p(lam)
         p_mat = young_orthogonal(lam, s)
         # best collective factor by contracting the known permutation factor
         b4 = block.reshape(nq, np_, nq, np_)
@@ -129,9 +127,7 @@ def rho_blocks(rho, n: int) -> dict:
     t = schur(d, n)
     w = t.conjugate(collective_unitary(rho, n))
     out = {}
-    for lam in enumerate_partitions(d, n):
-        sl = t.codec.block_slice(lam)
-        nq, np_ = dim_q(lam, d), dim_p(lam)
+    for lam, (sl, nq, np_) in t.codec.sectors.items():
         b4 = w[sl, sl].reshape(nq, np_, nq, np_)
         q_block = np.einsum("apbp->ab", b4)  # trace over the p register
         p_block = np.einsum("apaq->pq", b4)  # trace over the q register

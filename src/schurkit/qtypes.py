@@ -305,9 +305,7 @@ def concentrate(psi, n: int) -> ConcentrationReport:
         n=n, outcome_weights={}, off_diagonal_mass=0.0, schmidt_values={}
     )
     total = 0.0
-    for lam in enumerate_partitions(d, n):
-        sl = t.codec.block_slice(lam)
-        nq, np_ = dim_q(lam, d), dim_p(lam)
+    for lam, (sl, nq, np_) in t.codec.sectors.items():
         block = both[sl, sl]
         w = float((np.abs(block) ** 2).sum())
         report.outcome_weights[lam] = w

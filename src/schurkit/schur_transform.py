@@ -47,30 +47,35 @@ class SchurLabelCodec:
     def __init__(self, d: int, n: int):
         self.d = d
         self.n = n
-        self.triples, self._offset = [], {}
+        # sectors: lam -> (its row range, dim_q, dim_p), in codec order
+        self.triples, self.sectors = [], {}
         for lam in enumerate_partitions(d, n):
-            self._offset[lam] = len(self.triples)
+            start = len(self.triples)
             qs, ps = range(1, dim_q(lam, d) + 1), range(1, dim_p(lam) + 1)
             self.triples += [(lam, qi, pi) for qi in qs for pi in ps]
+            self.sectors[lam] = (slice(start, len(self.triples)), len(qs), len(ps))
 
     def __len__(self):
         return len(self.triples)
 
-    def index(self, lam, qi: int, pi: int) -> int:
+    def _sector(self, lam) -> tuple:
         lam = normalize(lam)
-        if lam not in self._offset:
+        if lam not in self.sectors:
             raise ValueError(
                 f"{lam} is not a partition of {self.n} with at most {self.d} rows"
             )
-        return self._offset[lam] + (qi - 1) * dim_p(lam) + (pi - 1)
+        return self.sectors[lam]
+
+    def index(self, lam, qi: int, pi: int) -> int:
+        rows, _, np_ = self._sector(lam)
+        return rows.start + (qi - 1) * np_ + (pi - 1)
 
     def label(self, row: int) -> tuple:
         return self.triples[row]
 
     def block_slice(self, lam) -> slice:
         """Row range of the lam sector (size dim_q * dim_p)."""
-        start = self.index(lam, 1, 1)
-        return slice(start, start + dim_q(lam, self.d) * dim_p(lam))
+        return self._sector(lam)[0]
 
     def row_strings(self) -> list:
         return [
