@@ -96,22 +96,15 @@ def table_document(columns, rows, scalars=None) -> dict:
 _PAIR = "    [\n      %s,\n      %s\n    ]"
 
 
-def _spelled(data: list, spell) -> tuple:
-    """The entries of the [re, im] pairs of data in order, as strings: spell
-    maps a list of floats to their spellings and sees each distinct float64
-    bit pattern once (so -0.0 stays apart from 0.0)."""
-    flat = np.fromiter(itertools.chain.from_iterable(data), np.float64)
-    distinct, which = np.unique(flat.view(np.int64), return_inverse=True)
-    words = spell(distinct.view(np.float64).tolist())
-    return tuple(map(words.__getitem__, which.tolist()))
-
-
 def _matrix_json(doc: dict) -> str:
     """json.dumps(doc, indent=2) for a matrix document with data, without the
-    pure-Python encoder that indent selects: one call of the C encoder spells
-    the distinct entries (NaN and Infinity as json does), and the [re, im]
-    pairs fill one fixed template."""
-    cells = _spelled(doc["data"], lambda values: json.dumps(values)[1:-1].split(", "))
+    pure-Python encoder that indent selects: the C encoder spells each
+    distinct float64 bit pattern once (-0.0, NaN and Infinity as json does),
+    and the [re, im] pairs fill one fixed template."""
+    data = np.fromiter(itertools.chain.from_iterable(doc["data"]), np.float64)
+    distinct, which = np.unique(data.view(np.int64), return_inverse=True)
+    words = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    cells = tuple(map(words.__getitem__, which.tolist()))
     body = ",\n".join([_PAIR] * len(doc["data"])) % cells
     # "data" follows kind, rows and cols, so its null is the first one
     head = json.dumps({**doc, "data": None}, indent=2)
@@ -146,10 +139,10 @@ def _cell(v) -> str:
 def _to_csv(doc: dict) -> str:
     lines = []
     if doc["kind"] == "matrix":
-        cells = iter(_spelled(doc["data"], lambda values: list(map(_num, values))))
         lines.append("row,col,re,im")
-        for i, j in itertools.product(range(doc["rows"]), range(doc["cols"])):
-            lines.append(f"{i},{j},{next(cells)},{next(cells)}")
+        cols = doc["cols"]
+        for k, (re, im) in enumerate(doc["data"]):
+            lines.append(f"{k // cols},{k % cols},{_num(re)},{_num(im)}")
     else:
         for name, value in doc["scalars"].items():
             lines.append(f"# {name}={_cell(value)}")

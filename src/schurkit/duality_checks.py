@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import young_orthogonal
-from .combinatorics import dim_p, dim_q, enumerate_partitions, normalize, schur_poly
+from .combinatorics import dim_p, enumerate_partitions, normalize, schur_poly
 from .operators import (
     DenseOperator,
     collective_unitary,
@@ -40,7 +40,8 @@ def rep_matrix_q(lam, u, d: int, n: int) -> DenseOperator:
     from the Schur conjugation of u^{tensor n} at a fixed path index."""
     u = _require_unitary(u, d)
     t = schur(d, n)
-    rows = [t.codec.index(lam, qi, 1) for qi in range(1, dim_q(lam, d) + 1)]
+    _, nq, _ = t.codec.sector(lam)
+    rows = [t.codec.index(lam, qi, 1) for qi in range(1, nq + 1)]
     return _irrep_block(t, collective_unitary(u, n), rows)
 
 
@@ -55,7 +56,8 @@ def rep_matrix_p(lam, s, d: int = None, n: int = None) -> DenseOperator:
     if d is None:
         d = max(len(lam), 1)
     t = schur(d, n)
-    rows = [t.codec.index(lam, 1, pi) for pi in range(1, dim_p(lam) + 1)]
+    _, _, np_ = t.codec.sector(lam)
+    rows = [t.codec.index(lam, 1, pi) for pi in range(1, np_ + 1)]
     return _irrep_block(t, permutation_action(s, d), rows)
 
 

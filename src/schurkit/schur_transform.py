@@ -58,7 +58,9 @@ class SchurLabelCodec:
     def __len__(self):
         return len(self.triples)
 
-    def _sector(self, lam) -> tuple:
+    def sector(self, lam) -> tuple:
+        """(row range, dim_q, dim_p) of the lam sector; ValueError unless lam
+        is a partition of n with at most d rows."""
         lam = normalize(lam)
         if lam not in self.sectors:
             raise ValueError(
@@ -67,7 +69,7 @@ class SchurLabelCodec:
         return self.sectors[lam]
 
     def index(self, lam, qi: int, pi: int) -> int:
-        rows, _, np_ = self._sector(lam)
+        rows, _, np_ = self.sector(lam)
         return rows.start + (qi - 1) * np_ + (pi - 1)
 
     def label(self, row: int) -> tuple:
@@ -75,7 +77,7 @@ class SchurLabelCodec:
 
     def block_slice(self, lam) -> slice:
         """Row range of the lam sector (size dim_q * dim_p)."""
-        return self._sector(lam)[0]
+        return self.sector(lam)[0]
 
     def row_strings(self) -> list:
         return [
@@ -321,19 +323,19 @@ def _dfs_sector(lam, q, vec, encode: bool, d: int, n: int):
     """
     t = schur(d, n)
     lam = normalize(lam)
-    first = t.codec.index(lam, 1, 1)
+    _, nq, np_ = t.codec.sector(lam)
     patterns = enumerate_gz(lam, d)
     qi = q if isinstance(q, (int, np.integer)) else patterns.index(tuple(q)) + 1
-    if not 1 <= qi <= len(patterns):
-        raise ValueError(f"q must lie in 1..{len(patterns)} for {lam}, got {qi}")
+    if not 1 <= qi <= nq:
+        raise ValueError(f"q must lie in 1..{nq} for {lam}, got {qi}")
     vec = np.asarray(vec, dtype=complex).reshape(-1)
-    length = dim_p(lam) if encode else d**n
+    length = np_ if encode else d**n
     if vec.shape[0] != length:
         raise ValueError(f"vector length must be {length}")
     # the sector's rows are consecutive rows of the block of its weight
     rows, cols, block = t.by_weight[gz_weight(patterns[qi - 1])]
-    top = np.searchsorted(rows, first + (qi - 1) * dim_p(lam))
-    return block[top : top + dim_p(lam)], cols, vec
+    top = np.searchsorted(rows, t.codec.index(lam, qi, 1))
+    return block[top : top + np_], cols, vec
 
 
 def dfs_encode(lam, q, p_state, d: int, n: int) -> np.ndarray:

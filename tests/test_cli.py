@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurkit.cli import _build_parser, _emit, _num, main, matrix_document
+from schurkit.cli import _build_parser, _emit, main, matrix_document
 
 SCHEMA = json.loads(
     resources.files("schurkit").joinpath("schemas/document.schema.json").read_text()
@@ -223,15 +223,6 @@ def test_matrix_json_is_the_indented_dump(case):
     with contextlib.redirect_stdout(buf):
         _emit(doc, "json", None)
     assert buf.getvalue() == json.dumps(doc, indent=2) + "\n"
-    # the CSV form against one _num call per entry
-    cols = doc["cols"]
-    lines = ["row,col,re,im"] + [
-        f"{k // cols},{k % cols},{_num(re)},{_num(im)}" for k, (re, im) in enumerate(doc["data"])
-    ]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        _emit(doc, "csv", None)
-    assert buf.getvalue() == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(

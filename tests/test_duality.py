@@ -43,9 +43,10 @@ def test_non_permutations_are_rejected(s):
         rep_matrix_p((2, 1), s, d=2, n=3)
 
 
-@pytest.mark.parametrize("lam", [(2, 1), (1, 1, 1, 1)])
+@pytest.mark.parametrize("lam", [(2, 1), (1, 1, 1, 1), (1, 3)])
 def test_rep_matrix_q_rejects_foreign_partitions(lam):
-    # (2, 1) is not a partition of 4; (1, 1, 1, 1) has more than d = 2 rows
+    # (2, 1) is not a partition of 4; (1, 1, 1, 1) has more than d = 2 rows;
+    # (1, 3) is not a partition, and its Weyl and hook products are -1 and -2
     with pytest.raises(ValueError):
         rep_matrix_q(lam, np.eye(2), 2, 4)
     with pytest.raises(ValueError):
