@@ -117,9 +117,11 @@ def interlacing_partitions(lam, rows: int) -> list:
 def add_box(lam, d: int) -> list:
     """All partitions of at most d rows obtained by adding one box to lam,
     ordered by the row index receiving the box."""
+    rows = len(normalize(lam))
     lam = pad(lam, d)
     out = []
-    for j in range(d):
+    # past row rows + 1, lam + e_j is not a partition
+    for j in range(min(d, rows + 1)):
         cand = lam[:j] + (lam[j] + 1,) + lam[j + 1:]
         if is_partition(cand):
             out.append(normalize(cand))
@@ -221,8 +223,8 @@ def enumerate_gz(lam, d: int) -> tuple:
 
 def gz_weight(pattern) -> tuple:
     """Weight of a GZ pattern: entry j is |q_j| - |q_{j-1}|."""
-    sizes = [size(q) for q in pattern]
-    return tuple(sizes[j] - (sizes[j - 1] if j else 0) for j in range(len(sizes)))
+    sizes = [0] + [sum(q) for q in pattern]
+    return tuple(b - a for a, b in zip(sizes, sizes[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -253,12 +255,13 @@ def yy_index(path) -> int:
     path (always taking the earliest removable box) gets index 1.
     """
     path = tuple(normalize(p) for p in path)
-    idx = 1
-    for k in range(len(path) - 1, 0, -1):
-        for mu in remove_box(path[k]):
-            if partitions_precede(mu, path[k - 1]):
-                idx += dim_p(mu)
-    return idx
+    return 1 + sum(sibling_offset(path[k - 1], path[k]) for k in range(1, len(path)))
+
+
+def sibling_offset(mu, lam) -> int:
+    """How many YY paths of shape lam rank before those through mu, for mu
+    in remove_box(lam): the dim_p of each sibling shape that precedes mu."""
+    return sum(dim_p(nu) for nu in remove_box(lam) if partitions_precede(nu, mu))
 
 
 def yy_unindex(lam, k: int):

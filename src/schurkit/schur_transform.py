@@ -16,6 +16,7 @@ import numpy as np
 
 from .characters import character
 from .combinatorics import (
+    add_box,
     dim_p,
     dim_q,
     enumerate_gz,
@@ -23,7 +24,7 @@ from .combinatorics import (
     gz_weight,
     normalize,
     partition_str,
-    yy_index,
+    sibling_offset,
 )
 from .operators import (
     DenseOperator,
@@ -32,7 +33,7 @@ from .operators import (
     require_dense,
 )
 from .permutations import all_permutations, cycle_type
-from .wigner import cg_block, cg_output_blocks
+from .wigner import cg_triplets
 
 
 class SchurLabelCodec:
@@ -40,8 +41,9 @@ class SchurLabelCodec:
 
     Rows are ordered by lam in enumerate_partitions(d, n) order, then by the
     GZ-pattern index q in [1, dim_q] (enumerate_gz order), then by the path
-    index p in [1, dim_p] (yy_index order).  There are exactly d^n rows and
-    every one carries support of the Schur unitary.
+    index p in [1, dim_p] (the Young-Yamanouchi rank that yy_unindex
+    inverts).  There are exactly d^n rows and every one carries support of
+    the Schur unitary.
     """
 
     def __init__(self, d: int, n: int):
@@ -98,6 +100,47 @@ def _weight_classes(lam, d: int) -> dict:
     return {w: np.array(ks) for w, ks in out.items()}
 
 
+def _pattern_codes(lam, d: int, code: dict) -> tuple:
+    """code[weight] of each GZ pattern of lam and its place among the
+    patterns of that weight, in enumerate_gz order."""
+    codes = np.empty(dim_q(lam, d), dtype=np.intp)
+    places = np.empty_like(codes)
+    for w, ks in _weight_classes(lam, d).items():
+        codes[ks] = code[w]
+        places[ks] = np.arange(len(ks))
+    return codes, places
+
+
+def _cg_sub_blocks(mu, d: int, triplets, code: dict, grown_code: dict, plus) -> dict:
+    """The coupling triplets of mu at rank d, grouped by sub-block.
+
+    Keys are (t * len(grown_code) + grown_code[w]) * d + i for output shape
+    add_box(mu, d)[t], output weight w and letter index i; values are the
+    (row, column, value) arrays of the entries in the dense sub-block
+    (patterns of that shape of weight w, patterns of mu of weight w - e_i).
+    plus[code[v], i] is grown_code[v + e_i].  Raises ValueError if a triplet
+    couples (q, i) to a pattern of weight other than weight(q) + e_i.
+    """
+    rows, cols, vals = triplets
+    q, i = np.divmod(cols, d)
+    in_codes, q_places = _pattern_codes(mu, d, code)
+    outs = [_pattern_codes(lp, d, grown_code) for lp in add_box(mu, d)]
+    out_codes = np.concatenate([c for c, _ in outs])[rows]
+    if np.any(out_codes != plus[in_codes[q], i]):
+        raise ValueError(f"CG block of {mu} at d={d} breaks torus weight")
+    shape_of = np.repeat(np.arange(len(outs)), [len(c) for c, _ in outs])[rows]
+    key = (shape_of * len(grown_code) + out_codes) * d + i
+    order = np.argsort(key, kind="stable")
+    key, places = key[order], np.concatenate([p for _, p in outs])[rows[order]]
+    q_places, vals = q_places[q[order]], vals[order]
+    cuts = np.flatnonzero(np.diff(key)) + 1
+    starts, stops = np.r_[0, cuts], np.r_[cuts, len(key)]
+    return {
+        k: (places[a:b], q_places[a:b], vals[a:b])
+        for k, a, b in zip(key[starts].tolist(), starts.tolist(), stops.tolist())
+    }
+
+
 class SchurTransform:
     """The Schur transform S(d, n), built by cascading Clebsch-Gordan blocks
     one torus weight at a time; get one through schur(d, n).
@@ -106,8 +149,15 @@ class SchurTransform:
     paths are stacked per top shape, with their amplitudes kept per letter
     content w as a (GZ patterns of weight w, paths, words of content w)
     array; the words of content w are those of content w - e_i followed by
-    letter i, for each i in turn.  Raises ValueError if a CG block couples
-    (q, i) to a pattern of weight other than weight(q) + e_i.
+    letter i, for each i in turn.  No dense CG block is formed: the coupling
+    triplets of every shape the cascade couples are built once, in one
+    rank-by-rank pass, and each step scatters those of its top shapes into
+    the (output shape, output weight, letter) sub-blocks it multiplies by.
+    Raises ValueError if a triplet couples (q, i) to a pattern of weight
+    other than weight(q) + e_i.  Each path carries its rank, grown by
+    sibling_offset at every step; the build raises unless the ranks of every
+    top shape come out as 0..dim_p - 1 in stacking order, which is the path
+    order of the codec.
 
     S is kept as its torus-weight blocks, ordered by size.  by_weight maps
     a weight (the letter counts) to the block's codec rows and computational
@@ -120,53 +170,67 @@ class SchurTransform:
         self.codec = codec = SchurLabelCodec(d, n)
         # one qudit: letter i is the pattern of (1,) with weight e_i
         words = {w: np.array([w.index(1)]) for w in _weight_classes((1,), d)}
-        tops = {(1,): ([((1,),)], {w: np.ones((1, 1, 1)) for w in words})}
+        # top shape -> (rank of each path, amplitudes per content)
+        tops = {(1,): (np.zeros(1, dtype=np.intp), {w: np.ones((1, 1, 1)) for w in words})}
+        # the triplets of every shape that some step couples, each built once
+        shapes = (mu for size in range(1, n) for mu in enumerate_partitions(d, size))
+        triplets = cg_triplets(shapes, d)
         for _ in range(1, n):
             # grown content -> its (letter, content) segments in letter order
             segments = {}
             for i in range(d):
                 for w in words:
                     segments.setdefault(w[:i] + (w[i] + 1,) + w[i + 1 :], []).append((i, w))
+            code = {w: c for c, w in enumerate(words)}
+            grown_code = {w: c for c, w in enumerate(segments)}
+            plus = np.empty((len(words), d), dtype=np.intp)
+            for w, seg in segments.items():
+                for i, v in seg:
+                    plus[code[v], i] = grown_code[w]
             grown = {}
-            for mu, (paths, amps) in tops.items():
-                cg = cg_block(mu, d).matrix
+            for mu, (ranks, amps) in tops.items():
+                subs = _cg_sub_blocks(mu, d, triplets.pop(mu), code, grown_code, plus)
                 q_of = _weight_classes(mu, d)
-                unread = cg.copy()  # what is left once every product has read its entries
-                for lp, sl in cg_output_blocks(mu, d):
-                    new_paths, new_amps = grown.setdefault(lp, ([], {}))
-                    new_paths += [path + (lp,) for path in paths]
+                for t, lp in enumerate(add_box(mu, d)):
+                    new_ranks, new_amps = grown.setdefault(lp, ([], {}))
+                    new_ranks.append(ranks + sibling_offset(mu, lp))
                     for w, ks in _weight_classes(lp, d).items():
                         parts = []
                         for i, v in segments[w]:
                             if v not in q_of:
-                                parts.append(np.zeros((len(ks), len(paths), len(words[v]))))
+                                parts.append(np.zeros((len(ks), len(ranks), len(words[v]))))
                                 continue
-                            cell = np.ix_(sl.start + ks, q_of[v] * d + i)
-                            prod = cg[cell] @ amps[v].reshape(len(q_of[v]), -1)
-                            parts.append(prod.reshape(len(ks), len(paths), -1))
-                            unread[cell] = 0.0
+                            cg = np.zeros((len(ks), len(q_of[v])))
+                            key = (t * len(segments) + grown_code[w]) * d + i
+                            if key in subs:
+                                r, c, x = subs[key]
+                                cg[r, c] = x
+                            prod = cg @ amps[v].reshape(len(q_of[v]), -1)
+                            parts.append(prod.reshape(len(ks), len(ranks), -1))
                         new_amps.setdefault(w, []).append(np.concatenate(parts, axis=2))
-                if unread.any():
-                    raise ValueError(f"CG block of {mu} at d={d} breaks torus weight")
             words = {
                 w: np.concatenate([words[v] * d + i for i, v in seg])
                 for w, seg in segments.items()
             }
             tops = {
-                lp: (paths, {w: np.concatenate(a, axis=1) for w, a in amps.items()})
-                for lp, (paths, amps) in grown.items()
+                lp: (
+                    np.concatenate(ranks),
+                    {w: np.concatenate(a, axis=1) for w, a in amps.items()},
+                )
+                for lp, (ranks, amps) in grown.items()
             }
         # the finished rows per weight, ascending: shapes in codec order, then
-        # patterns in enumerate_gz order, then paths by yy_index
+        # patterns in enumerate_gz order, then paths by rank
         rows, blocks = {}, {}
         for lam in enumerate_partitions(d, n):
-            paths, amps = tops[lam]
-            by_p = np.argsort([yy_index(path) for path in paths])
+            ranks, amps = tops[lam]
+            if not np.array_equal(ranks, np.arange(dim_p(lam))):
+                raise ValueError(f"paths of {lam} at d={d} are not stacked in rank order")
             for w, a in amps.items():
                 qs = _weight_classes(lam, d)[w][:, None]
-                r = codec.index(lam, 1, 1) + qs * len(paths) + np.arange(len(paths))
+                r = codec.index(lam, 1, 1) + qs * len(ranks) + np.arange(len(ranks))
                 rows.setdefault(w, []).append(r.reshape(-1))
-                blocks.setdefault(w, []).append(a[:, by_p].reshape(r.size, -1))
+                blocks.setdefault(w, []).append(a.reshape(r.size, -1))
         # blocks by size, ties in descending order of the letter counts
         order = sorted(sorted(words, reverse=True), key=lambda w: len(words[w]))
         rows = [np.concatenate(rows[w]) for w in order]
@@ -265,8 +329,8 @@ def schur_unitary(d: int, n: int):
     computational basis onto labeled (lam, q, p) rows, plus its codec.
 
     The multiplicity record of the cascade (which row received a box at each
-    step) is a Young-Yamanouchi path and is always compressed to the path
-    index p via yy_index; yy_unindex recovers the raw record.
+    step) is a Young-Yamanouchi path and is always compressed to its rank,
+    the path index p; yy_unindex recovers the raw record.
     """
     t = schur(d, n)
     return t.dense, t.codec

@@ -17,11 +17,16 @@ CG block exactly unitary and reproduces the standard two-level (singlet /
 triplet) matrices; see tests for the independent spectral-projector oracle.
 
 For fixed (mu, mu'') these coefficients form the d x d that_matrix, from
-which and the rank-(d-1) blocks cg_block assembles the rank-d block.  Input
-patterns q = q' + (lam,) come in runs of equal q_{d-1} = mu.  Qudit value d
-leaves q' alone (j' = 0, mu'' = mu); a value i < d couples q' through the
-rank-(d-1) block of mu to outcomes (mu'' = mu + e_j', g'').  Each outcome
-goes to row (lam + e_j, g'' + (lam + e_j,)) with that_matrix(lam, mu'')[j, j'].
+which and the rank-(d-1) blocks cg_triplets assembles the rank-d block.  A
+block is kept only as its coupling triplets: the (row, column, value) of
+every nonzero entry, rows ascending.  Input patterns q = q' + (lam,) come in
+runs of equal q_{d-1} = mu.  Qudit value d leaves q' alone (j' = 0,
+mu'' = mu); a value i < d couples q' through the rank-(d-1) triplets of mu
+to outcomes (mu'' = mu + e_j', g'').  Each outcome goes to row
+(lam + e_j, g'' + (lam + e_j,)) scaled by that_matrix(lam, mu'')[j, j'].  By
+the weight rule such a block couples (q, i) only to patterns of weight
+weight(q) + e_i, so it holds a few entries per column; cg_block is the dense
+view, formed on request.
 """
 
 from __future__ import annotations
@@ -124,7 +129,8 @@ def _reduced_wigner(mu, j: int, mup, jp: int, d: int) -> float:
 
 def _valid_rows(mu, mupp, d: int) -> list:
     out = []
-    for j in range(1, d + 1):
+    # past row len(mu) + 1, mu + e_j is not a partition
+    for j in range(1, min(d, len(mu) + 1) + 1):
         cand = list(pad(mu, d))
         cand[j - 1] += 1
         if is_partition(cand) and interlaces(mupp, normalize(cand)):
@@ -136,7 +142,8 @@ def _valid_cols(mu, mupp, d: int) -> list:
     """(j', mu') pairs consistent with second-level result mu''."""
     out = []
     mupp_p = pad(mupp, d - 1)
-    for jp in range(0, d):
+    # past row len(mu''), mu'' - e_j' is not a partition
+    for jp in range(0, min(d - 1, len(mupp)) + 1):
         if jp == 0:
             mup = normalize(mupp)
         else:
@@ -172,8 +179,9 @@ def that_matrix(mu, mupp, d: int) -> DenseOperator:
     for j in rows:
         for jp, mup in cols:
             m[j - 1, jp] = _reduced_wigner(mu, j, mup, jp, d)
+    live_cols = {jp for jp, _ in cols}
     dead_rows = [j for j in range(1, d + 1) if j not in rows]
-    dead_cols = [jp for jp in range(d) if jp not in {c[0] for c in cols}]
+    dead_cols = [jp for jp in range(d) if jp not in live_cols]
     for j, jp in zip(dead_rows, dead_cols):
         m[j - 1, jp] = 1.0
     return DenseOperator(m, row_labels=list(range(1, d + 1)), col_labels=list(range(d)))
@@ -185,49 +193,72 @@ def cg_block(lam, d: int) -> DenseOperator:
 
     Column labels are (input GZ pattern, qudit value i in 1..d); row labels
     are (lam', output GZ pattern).  The empty partition gives the relabeling
-    |i> -> (j = i, defining-irrep chain i).  Built rank by rank, keeping no
-    block once it returns; raises ValueError over the dense cap.
+    |i> -> (j = i, defining-irrep chain i).  A dense view of cg_triplets,
+    formed by one scatter into zeros and not kept; raises ValueError over
+    the dense cap.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     lam = normalize(lam)
-    require_dense(d * dim_q(lam, d))
-    # the shapes whose blocks are needed at each rank, from d down to 1
-    shapes = [{lam}]
+    dim = d * dim_q(lam, d)
+    require_dense(dim)
+    rows, cols, vals = cg_triplets([lam], d)[lam]
+    m = np.zeros((dim, dim))
+    m[rows, cols] = vals
+    col_labels = [(q, i) for q in enumerate_gz(lam, d) for i in range(1, d + 1)]
+    row_labels = [(lp, g) for lp in add_box(lam, d) for g in enumerate_gz(lp, d)]
+    return DenseOperator(m, row_labels=row_labels, col_labels=col_labels)
+
+
+def cg_triplets(lams, d: int) -> dict:
+    """lam -> the nonzero entries of cg_block(lam, d) as (rows, cols,
+    values) arrays, rows ascending, for each partition lam in lams.  Built
+    rank by rank from the triplets of the shapes below, each shape once,
+    keeping none of them once it returns."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    lams = {normalize(lam) for lam in lams}
+    # the shapes whose triplets are needed at each rank, from d down to 1
+    shapes = [lams]
     for r in range(d - 1, 0, -1):
         below = (interlacing_partitions(nu, r) for nu in shapes[-1])
         shapes.append({mu for mus in below for mu in mus})
     lower = {}
     for r, level in enumerate(reversed(shapes), 1):
-        lower = {nu: _cg_matrix(nu, r, lower) for nu in level}
-    col_labels = [(q, i) for q in enumerate_gz(lam, d) for i in range(1, d + 1)]
-    row_labels = [(lp, g) for lp in add_box(lam, d) for g in enumerate_gz(lp, d)]
-    return DenseOperator(lower[lam], row_labels=row_labels, col_labels=col_labels)
+        lower = {nu: _cg_triplets(nu, r, lower) for nu in level}
+    return lower
 
 
-def _cg_matrix(lam, d: int, lower: dict) -> np.ndarray:
-    """cg_block(lam, d).matrix, given lower[mu] = cg_block(mu, d - 1).matrix
-    for every mu interlacing lam."""
+def _cg_triplets(lam, d: int, lower: dict) -> tuple:
+    """cg_triplets([lam], d)[lam], given lower[mu] = the triplets of mu at
+    rank d - 1 for every mu interlacing lam."""
     if d == 1:
-        return np.ones((1, 1))
+        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.ones(1)
     # first row of each run of equal q_{d-1} = mu'' among the rows of lam + e_j
     run, start = {}, 0
     for lp in add_box(lam, d):
         for mupp in interlacing_partitions(lp, d - 1):
             run[lp, mupp] = start
             start += dim_q(mupp, d - 1)
-    m = np.zeros((start, start))
-    lam_p, col, couplings = pad(lam, d), 0, {}
-    grown = [normalize(lam_p[:j] + (lam_p[j] + 1,) + lam_p[j + 1 :]) for j in range(d)]
+    lam_p, col, couplings, chunks = pad(lam, d), 0, {}, []
+    # lam + e_j for each j, up to the last row that can take a box
+    grown = [
+        normalize(lam_p[:j] + (lam_p[j] + 1,) + lam_p[j + 1 :])
+        for j in range(min(d, len(lam) + 1))
+    ]
     for mu in interlacing_partitions(lam, d - 1):
         k = dim_q(mu, d - 1)
         cols = col + np.arange(k * d).reshape(k, d)
         col += k * d
-        parts, mu_p = [(mu, 0, np.eye(k), cols[:, -1])], pad(mu, d - 1)
+        # (mu'', j', rows within the run, columns, values) of each outcome
+        parts, mu_p = [(mu, 0, np.arange(k), cols[:, -1], np.ones(k))], pad(mu, d - 1)
+        rows, lower_cols, vals = lower[mu]
         for mupp, sl in cg_output_blocks(mu, d - 1):
             jp = 1 + [a > b for a, b in zip(pad(mupp, d - 1), mu_p)].index(True)
-            parts.append((mupp, jp, lower[mu][sl], cols[:, :-1].ravel()))
-        for mupp, jp, block, idx in parts:
+            a, b = np.searchsorted(rows, (sl.start, sl.stop))
+            idx = cols[:, :-1].ravel()[lower_cols[a:b]]
+            parts.append((mupp, jp, rows[a:b] - sl.start, idx, vals[a:b]))
+        for mupp, jp, r, c, v in parts:
             if mupp not in couplings:
                 couplings[mupp] = that_matrix(lam, mupp, d).matrix
             # only (j, j') of an actual lam + e_j: the unit entries that
@@ -235,9 +266,13 @@ def _cg_matrix(lam, d: int, lower: dict) -> np.ndarray:
             for j, lp in enumerate(grown):
                 r0 = run.get((lp, mupp))
                 if r0 is not None:
-                    # += onto zeros keeps every structural zero at +0.0
-                    m[r0 : r0 + len(block), idx] += couplings[mupp][j, jp] * block
-    return m
+                    chunks.append((r0 + r, c, couplings[mupp][j, jp] * v))
+    # a run holds the outcomes of several mu, each at its own columns, so
+    # every entry is written once
+    rows, cols, vals = (np.concatenate(a) for a in zip(*chunks))
+    keep = np.flatnonzero(vals != 0.0)
+    keep = keep[np.argsort(rows[keep], kind="stable")]
+    return rows[keep], cols[keep], vals[keep]
 
 
 def cg_output_blocks(lam, d: int) -> list:

@@ -6,7 +6,7 @@ from conftest import haar_unitary, random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurkit import schur_transform
+from schurkit import schur_transform, wigner
 from schurkit.channels import channel_normal_form
 from schurkit.combinatorics import (
     dim_p,
@@ -21,7 +21,7 @@ from schurkit.duality_checks import (
     rho_blocks,
     verify_block_diagonal,
 )
-from schurkit.operators import DenseOperator, dense_cap
+from schurkit.operators import dense_cap
 from schurkit.qtypes import concentrate, sector_distribution
 from schurkit.schur_transform import (
     SchurLabelCodec,
@@ -34,6 +34,7 @@ from schurkit.schur_transform import (
     schur_unitary,
 )
 from schurkit.sn_fourier import sn_qft_from_schur
+from schurkit.wigner import cg_block
 
 
 @pytest.mark.parametrize(
@@ -221,26 +222,52 @@ def test_schur_conjugate_rejects_shape_mismatch():
 
 
 def test_cascade_rejects_cg_block_that_breaks_weight(monkeypatch):
-    real_cg_block = schur_transform.cg_block
+    real_cg_triplets = schur_transform.cg_triplets
 
-    def leaky_cg_block(lam, d):
-        block = real_cg_block(lam, d)
-        bad = block.matrix.copy()
-        # column 0 is (q, i = 1): couple it to a row whose weight is not
-        # weight(q) + e_1
-        q, _ = block.col_labels[0]
-        target = tuple(np.add(gz_weight(q), np.eye(d, dtype=int)[0]))
-        row = next(
-            r
-            for r, (_, g) in enumerate(block.row_labels)
-            if gz_weight(g) != target
-        )
-        bad[row, 0] = 1e-3
-        return DenseOperator(bad, block.row_labels, block.col_labels)
+    def leaky_cg_triplets(lams, d):
+        out = real_cg_triplets(lams, d)
+        for lam, (rows, cols, vals) in out.items():
+            block = cg_block(lam, d)  # for the labels
+            # column 0 is (q, i = 1): couple it to a row whose weight is not
+            # weight(q) + e_1
+            q, _ = block.col_labels[0]
+            target = tuple(np.add(gz_weight(q), np.eye(d, dtype=int)[0]))
+            row = next(
+                r
+                for r, (_, g) in enumerate(block.row_labels)
+                if gz_weight(g) != target
+            )
+            out[lam] = (np.append(rows, row), np.append(cols, 0), np.append(vals, 1e-3))
+        return out
 
-    monkeypatch.setattr(schur_transform, "cg_block", leaky_cg_block)
+    monkeypatch.setattr(schur_transform, "cg_triplets", leaky_cg_triplets)
     with pytest.raises(ValueError, match="breaks torus weight"):
         SchurTransform(2, 3)
+
+
+def test_cascade_never_forms_a_dense_cg_block(monkeypatch):
+    def refuse(lam, d):
+        raise AssertionError("a dense CG block was formed")
+
+    monkeypatch.setattr(wigner, "cg_block", refuse)
+    built = SchurTransform(3, 4)
+    monkeypatch.undo()
+    assert np.array_equal(built.dense.matrix, schur_unitary(3, 4)[0].matrix)
+
+
+@pytest.mark.parametrize("corruption", ["shifted", "reversed"])
+def test_cascade_rejects_corrupted_path_ranks(monkeypatch, corruption):
+    real = schur_transform.sibling_offset
+
+    def corrupt(mu, lam):
+        if corruption == "shifted":
+            return real(mu, lam) + 1
+        # siblings in the opposite order: still a bijection onto 0..dim_p - 1
+        return dim_p(lam) - dim_p(mu) - real(mu, lam)
+
+    monkeypatch.setattr(schur_transform, "sibling_offset", corrupt)
+    with pytest.raises(ValueError, match="rank order"):
+        SchurTransform(2, 4)
 
 
 def test_products_with_s_never_form_the_dense_matrix(monkeypatch, rng):

@@ -14,6 +14,8 @@ from schurkit.combinatorics import (
     enumerate_gz,
     enumerate_partitions,
     gz_weight,
+    interlaces,
+    is_partition,
     normalize,
     pad,
 )
@@ -22,6 +24,7 @@ from schurkit.wigner import (
     _valid_rows,
     cg_block,
     cg_output_blocks,
+    cg_triplets,
     is_structural_zero,
     reduced_wigner,
     that_matrix,
@@ -87,6 +90,45 @@ def test_that_matrix_is_orthogonal_property(args):
     valid = t[np.ix_(rows, cols)]
     assert np.abs(valid.T @ valid - np.eye(len(rows))).max() < 1e-12
     assert np.abs(t.T @ t - np.eye(d)).max() < 1e-12
+
+
+def _full_scan_rows(mu, mupp, d):
+    """_valid_rows scanning every row j = 1..d."""
+    out = []
+    for j in range(1, d + 1):
+        cand = list(pad(mu, d))
+        cand[j - 1] += 1
+        if is_partition(cand) and interlaces(mupp, normalize(cand)):
+            out.append(j)
+    return out
+
+
+def _full_scan_cols(mu, mupp, d):
+    """_valid_cols scanning every column j' = 0..d-1."""
+    out = []
+    mupp_p = pad(mupp, d - 1)
+    for jp in range(0, d):
+        if jp == 0:
+            mup = normalize(mupp)
+        else:
+            cand = list(mupp_p)
+            cand[jp - 1] -= 1
+            if not is_partition(cand):
+                continue
+            mup = normalize(cand)
+        if len(mup) <= d - 1 and interlaces(mup, mu):
+            out.append((jp, mup))
+    return out
+
+
+@pytest.mark.parametrize("d,max_size", [(2, 5), (3, 5), (4, 4), (5, 4), (8, 3), (16, 2), (32, 2)])
+def test_selection_rules_scan_only_rows_that_can_change(d, max_size):
+    for n in range(max_size + 1):
+        for mu in enumerate_partitions(d, n) if n else [()]:
+            for m in (n, n + 1):
+                for mupp in enumerate_partitions(d - 1, m) if m and d > 1 else [()]:
+                    assert _valid_rows(mu, mupp, d) == _full_scan_rows(mu, mupp, d)
+                    assert _valid_cols(mu, mupp, d) == _full_scan_cols(mu, mupp, d)
 
 
 def _shapes(d, max_size):
@@ -180,3 +222,16 @@ def test_cg_block_preserves_weight(d):
         in_w = [ids.setdefault(w, len(ids)) for w in grown]
         allowed = np.equal.outer(out_w, in_w)
         assert not block.matrix[~allowed].any()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_cg_triplets_are_the_nonzeros_of_cg_block(d):
+    shapes = _shapes(d, 3)
+    together = cg_triplets(shapes, d)
+    for lam in shapes:
+        rows, cols, vals = cg_triplets([lam], d)[lam]
+        assert all(np.array_equal(a, b) for a, b in zip(together[lam], (rows, cols, vals)))
+        assert np.all(np.diff(rows) >= 0) and np.all(vals != 0.0)
+        m = cg_block(lam, d).matrix
+        assert len(vals) == np.count_nonzero(m)
+        assert np.array_equal(m[rows, cols], vals)
