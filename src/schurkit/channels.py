@@ -13,9 +13,9 @@ import numpy as np
 
 from .characters import character, young_orthogonal
 from .combinatorics import dim_p, normalize
-from .operators import collective_unitary, require_dense
+from .operators import collective_split, require_dense
 from .permutations import all_permutations, conjugacy_classes
-from .schur_transform import schur_unitary
+from .schur_transform import schur
 
 
 def kronecker(lam_a, lam_b, lam_c) -> int:
@@ -85,11 +85,6 @@ class ChannelNormalForm:
     isometry_residual: float
 
 
-def _interleave(n: int) -> list:
-    """Axis order moving (b1 e1 ... bn en) to (b1..bn e1..en)."""
-    return list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-
-
 def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: int = 2) -> ChannelNormalForm:
     """Decompose u_n^{tensor n} (u_n an isometry C^da -> C^db tensor C^de)
     in the Schur bases of the input and of both output factors.
@@ -109,18 +104,11 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
     if not np.abs(u_n.conj().T @ u_n - np.eye(da)).max() <= 1e-10:
         raise ValueError("input is not an isometry")
     require_dense((db * de) ** n, da**n)
-    big = collective_unitary(u_n, n)
-    # reorder output factors from (b1 e1 ... bn en) to (b1..bn e1..en)
-    big = big.reshape((db, de) * n + (da**n,))
-    big = np.transpose(big, _interleave(n) + [2 * n])
-    big = big.reshape(db**n, de**n, da**n)
-    sa, codec_a = schur_unitary(da, n)
-    sb, codec_b = schur_unitary(db, n)
-    se, codec_e = schur_unitary(de, n)
-    # (Sb tensor Se) big Sa^T, one Schur transform per axis
-    conj = np.einsum(
-        "bi,ej,ak,ijk->bea", sb.matrix, se.matrix, sa.matrix, big, optimize=True
-    )
+    conj = collective_split(u_n, n, db)
+    # (Sb tensor Se) u_n^{tensor n} Sa^T, one Schur transform per axis
+    for axis, d in enumerate((db, de, da)):
+        conj = np.moveaxis(schur(d, n).apply(np.moveaxis(conj, axis, 0)), 0, axis)
+    codec_b, codec_e, codec_a = (schur(d, n).codec for d in (db, de, da))
     coefficients = {}
     bases = {}
     residual = 0.0

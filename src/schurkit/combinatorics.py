@@ -317,18 +317,24 @@ def kostka(lam, mu) -> int:
 
 def schur_poly(lam, r):
     """Schur polynomial sum over GZ-pattern weights: sum_mu K_{lam,mu} r^mu.
+    Exact when r entries are Fractions; d is len(r)."""
+    lam = normalize(lam)
+    return schur_polys([lam], r)[lam]
 
-    Exact when r entries are Fractions; d is len(r).  Evaluated by the
-    branching recursion over interlacing partitions, so no pattern list is
-    materialized.
+
+def schur_polys(lams, r) -> dict:
+    """lam -> schur_poly(lam, r) for each lam in lams (canonical keys), by
+    the branching recursion over interlacing partitions: no pattern list is
+    materialized, and the memo is shared by all of lams.
     """
     r = tuple(r)
     if any(x < 0 for x in r):
         raise ValueError("r entries must be nonnegative")
-    lam = normalize(lam)
     d = len(r)
-    if len(lam) > d:
-        raise ValueError(f"partition {lam} has more than {d} rows")
+    lams = [normalize(lam) for lam in lams]
+    for lam in lams:
+        if len(lam) > d:
+            raise ValueError(f"partition {lam} has more than {d} rows")
     memo = {}
 
     def rec(shape, depth):
@@ -342,7 +348,7 @@ def schur_poly(lam, r):
             )
         return memo[key]
 
-    return rec(lam, d)
+    return {lam: rec(lam, d) for lam in lams}
 
 
 # ---------------------------------------------------------------------------

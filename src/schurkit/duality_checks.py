@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import young_orthogonal
-from .combinatorics import dim_p, enumerate_partitions, normalize, schur_poly
+from .combinatorics import normalize
 from .operators import (
     DenseOperator,
     collective_unitary,
@@ -23,6 +23,7 @@ from .operators import (
     permute_columns_like,
 )
 from .permutations import check_permutation
+from .qtypes import sector_distribution
 from .schur_transform import schur
 
 
@@ -142,12 +143,8 @@ def rho_blocks(rho, n: int) -> dict:
 
 def spectral_weights(rho, n: int) -> dict:
     """lam -> dim_p(lam) * schur_poly(lam, spec rho): the sector masses of
-    rho^{tensor n} computed without any d^n-dimensional object."""
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    spec = sorted(np.linalg.eigvalsh(rho).real, reverse=True)
-    spec = [max(x, 0.0) for x in spec]
-    return {
-        lam: dim_p(lam) * float(schur_poly(lam, spec))
-        for lam in enumerate_partitions(d, n)
-    }
+    rho^{tensor n} computed without any d^n-dimensional object.  Negative
+    eigenvalue round-off is clipped to 0; ValueError unless the spectrum
+    then sums to 1."""
+    spec = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    return sector_distribution(np.clip(spec, 0.0, None), n)

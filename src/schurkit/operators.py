@@ -108,6 +108,17 @@ def collective_unitary(u: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def collective_split(u: np.ndarray, n: int, da: int) -> np.ndarray:
+    """u^{tensor n} for u mapping into C^da tensor C^db, as a
+    (da^n, db^n, columns) array: the output factors are regrouped from
+    (a1 b1 ... an bn) to (a1..an b1..bn)."""
+    rows, cols = u.shape
+    db = rows // da
+    big = collective_unitary(u, n).reshape((da, db) * n + (cols**n,))
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)) + [2 * n]
+    return np.transpose(big, order).reshape(da**n, db**n, cols**n)
+
+
 def right_multiply_collective(matrix: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """matrix @ u^{tensor n} by contracting one tensor factor at a time:
     n * dim^2 * d work instead of the dim^3 of a dense product."""

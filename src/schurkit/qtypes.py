@@ -3,16 +3,15 @@ typical projector masses, spectrum estimation by sector sampling,
 entanglement concentration, and universal compression rates.
 
 All entropies and divergences are base 2.  Large-n quantities are evaluated
-through Schur polynomials (exact rationals available), so no d^n-dimensional
-object is ever needed on that path; small-n dense cross-checks live in
-duality_checks.rho_blocks.
+in floating point through Schur polynomials (schur_poly itself is exact on
+Fractions), so no d^n-dimensional object is ever needed on that path;
+small-n dense cross-checks live in duality_checks.rho_blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,8 +22,9 @@ from .combinatorics import (
     multinomial,
     normalize,
     schur_poly,
+    schur_polys,
 )
-from .operators import DenseOperator, collective_unitary
+from .operators import DenseOperator, collective_split
 from .schur_transform import schur
 
 
@@ -67,13 +67,8 @@ def sector_distribution(r, n: int) -> dict:
     """lam -> dim_p(lam) * schur_poly(lam, r): the exact distribution of the
     partition label when measuring rho^{tensor n}, spec rho = r."""
     r = _sorted_spectrum(r)
-    d = len(r)
-    exact = all(isinstance(x, (int, Fraction)) for x in r)
-    rr = r if exact else tuple(float(x) for x in r)
-    return {
-        lam: dim_p(lam) * float(schur_poly(lam, rr))
-        for lam in enumerate_partitions(d, n)
-    }
+    polys = schur_polys(enumerate_partitions(len(r), n), r)
+    return {lam: dim_p(lam) * float(s) for lam, s in polys.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +291,8 @@ def concentrate(psi, n: int) -> ConcentrationReport:
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
         raise ValueError("psi must be normalized")
     t = schur(d, n)
-    # reorder psi^{tensor n} from (a1 b1 ... an bn) to (a1..an b1..bn)
-    state = collective_unitary(psi.reshape(1, -1), n).reshape((d, d) * n)
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    state = np.transpose(state, order).reshape(d**n, d**n)
+    # psi^{tensor n} with rows a1..an and columns b1..bn
+    state = collective_split(psi.reshape(-1, 1), n, d).reshape(d**n, d**n)
     both = t.conjugate(state)  # rows: Alice labels, cols: Bob labels
     report = ConcentrationReport(
         n=n, outcome_weights={}, off_diagonal_mass=0.0, schmidt_values={}

@@ -90,18 +90,19 @@ def _alignment_signs(f: np.ndarray, layout: FourierBlockLayout, n: int) -> dict:
     Young's orthogonal representation, computed once from the left action of
     adjacent transpositions and then frozen."""
     signs = {}
+    gens = [(s, left_action(s, n)) for s in (transposition(n, g) for g in range(1, n))]
     for lam, sl in layout.blocks:
         k = dim_p(lam)
+        # each generator's multiplicity-register factor and Young matrix
+        pairs = []
+        for s, m in gens:
+            blk = (f[sl, :] @ m @ f[sl, :].T).reshape(k, k, k, k)
+            pairs.append((np.einsum("apbp->ab", blk) / k, young_orthogonal(lam, s)))
         fix = np.zeros(k)
         fix[0] = 1.0
         # propagate relative signs through generators until all determined
         for _ in range(k):
-            for g in range(1, n):
-                s = transposition(n, g)
-                blk = f[sl, :] @ left_action(s, n) @ f[sl, :].T
-                q_hat = blk.reshape(k, k, k, k)
-                y = young_orthogonal(lam, s)
-                rep = np.einsum("apbp->ab", q_hat) / k
+            for rep, y in pairs:
                 for a in range(k):
                     for b in range(k):
                         if fix[b] and not fix[a] and abs(rep[a, b]) > 1e-8:

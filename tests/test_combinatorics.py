@@ -23,6 +23,7 @@ from schurkit.combinatorics import (
     partition_str,
     remove_box,
     schur_poly,
+    schur_polys,
     weights_of_size,
     yy_index,
     yy_unindex,
@@ -135,6 +136,9 @@ def test_schur_poly_normalization():
             dim_p(l) * schur_poly(l, r) for l in enumerate_partitions(len(r), 6)
         )
         assert total == 1
+        # one call for every shape shares the recursion and stays exact
+        polys = schur_polys(enumerate_partitions(len(r), 6), r)
+        assert sum(dim_p(l) * s for l, s in polys.items()) == 1
 
 
 def test_schur_poly_at_all_ones_is_dim_q():

@@ -12,6 +12,7 @@ from schurkit.duality_checks import (
     verify_block_diagonal,
 )
 from schurkit.permutations import all_permutations, compose
+from schurkit.qtypes import sector_distribution
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (3, 3), (3, 4), (2, 10), (32, 2)])
@@ -110,6 +111,16 @@ def test_rho_blocks_weights_match_schur_polynomials(rng):
         assert evals.min() > -1e-12
         assert abs(q_factor.trace().real * dim_p(lam) - w) < 1e-10
     assert abs(total - 1.0) < 1e-10
+
+
+def test_spectral_weights_are_the_sector_distribution_of_the_spectrum(rng):
+    v = rng.normal(size=3) + 1j * rng.normal(size=3)
+    pure = np.outer(v, v.conj()) / np.vdot(v, v).real  # round-off below 0
+    for rho in (pure, np.diag([0.5, 0.3, 0.2])):
+        spec = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+        assert spectral_weights(rho, 6) == sector_distribution(spec, 6)
+    with pytest.raises(ValueError):
+        spectral_weights(np.eye(2), 2)  # trace 2, as rho_blocks rejects
 
 
 def test_rho_blocks_validates_input():

@@ -6,7 +6,7 @@ from conftest import random_state
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schurkit.combinatorics import dim_p, enumerate_partitions
+from schurkit.combinatorics import dim_p, enumerate_partitions, schur_poly
 from schurkit.qtypes import (
     classical_type_bounds,
     compress_rate,
@@ -47,6 +47,17 @@ def test_sector_distribution_is_a_distribution():
         dist = sector_distribution(r, 6)
         assert abs(sum(dist.values()) - 1.0) < 1e-12
         assert all(w >= 0 for w in dist.values())
+
+
+@pytest.mark.parametrize("d,n", [(3, 30), (4, 12), (2, 40)])
+def test_sector_distribution_matches_per_shape_schur_poly(d, n):
+    w = np.random.default_rng(d * n).random(d)
+    r = tuple(sorted((w / w.sum()).tolist(), reverse=True))
+    expected = {
+        lam: dim_p(lam) * float(schur_poly(lam, r))
+        for lam in enumerate_partitions(d, n)
+    }
+    assert sector_distribution(r, n) == expected
 
 
 def test_trace_bound_sandwich_qubit():
