@@ -9,6 +9,7 @@ conforms to schemas/document.schema.json shipped with the package.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -72,13 +73,16 @@ def _num(x) -> str:
 
 
 def matrix_document(matrix, row_labels, col_labels) -> dict:
-    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    """A matrix document.  Its data are the [re, im] pairs of the entries in
+    row-major order, kept as one (rows * cols, 2) float64 array that _emit
+    spells; json.dumps takes them as data.tolist()."""
+    matrix = np.array(matrix, dtype=complex, order="C")
     r, c = matrix.shape
     return {
         "kind": "matrix",
         "rows": r,
         "cols": c,
-        "data": matrix.reshape(-1, 1).view(np.float64).tolist(),
+        "data": matrix.view(np.float64).reshape(-1, 2),
         "row_labels": [str(l) for l in row_labels],
         "col_labels": [str(l) for l in col_labels],
     }
@@ -93,26 +97,48 @@ def table_document(columns, rows, scalars=None) -> dict:
     }
 
 
+def _pair_codes(data: np.ndarray) -> tuple:
+    """Group the [re, im] rows of data by bit pattern: the distinct pairs
+    other than [0.0, 0.0], once each as a (k, 2) float64 array, and every
+    row's code, 0 for [0.0, 0.0] and j for pair j - 1.  Only the words with
+    a bit set are sorted (-0.0 is one of them)."""
+    bits = data.view(np.int64)
+    live = bits != 0
+    distinct, which = np.unique(bits[live], return_inverse=True)
+    base = len(distinct) + 1
+    words = np.zeros(bits.shape, np.int64)
+    words[live] = which + 1
+    keys = words[:, 0] * base + words[:, 1]
+    live = keys != 0
+    kinds, which = np.unique(keys[live], return_inverse=True)
+    codes = np.zeros(len(keys), np.intp)
+    codes[live] = which + 1
+    values = np.concatenate([[0.0], distinct.view(np.float64)])
+    return np.stack([values[kinds // base], values[kinds % base]], axis=1), codes
+
+
 _PAIR = "    [\n      %s,\n      %s\n    ]"
 
 
 def _matrix_json(doc: dict) -> str:
-    """json.dumps(doc, indent=2) for a matrix document with data, without the
+    """json.dumps(doc, indent=2) for a matrix document, without the
     pure-Python encoder that indent selects: the C encoder spells each
-    distinct float64 bit pattern once (-0.0, NaN and Infinity as json does),
-    and the [re, im] pairs fill one fixed template."""
-    data = np.fromiter(itertools.chain.from_iterable(doc["data"]), np.float64)
-    distinct, which = np.unique(data.view(np.int64), return_inverse=True)
-    words = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
-    cells = tuple(map(words.__getitem__, which.tolist()))
-    body = ",\n".join([_PAIR] * len(doc["data"])) % cells
+    distinct [re, im] pair of the data once (-0.0, NaN and Infinity as json
+    does), and the pairs are joined by their codes."""
     # "data" follows kind, rows and cols, so its null is the first one
     head = json.dumps({**doc, "data": None}, indent=2)
+    if not doc["data"].size:
+        return head.replace('"data": null', '"data": []', 1)
+    pairs, codes = _pair_codes(doc["data"])
+    words = json.dumps(pairs.ravel().tolist())[1:-1].split(", ")
+    spelled = [_PAIR % ("0.0", "0.0")]
+    spelled += [_PAIR % pair for pair in zip(words[::2], words[1::2])]
+    body = ",\n".join(np.array(spelled, dtype=object)[codes].tolist())
     return head.replace('"data": null', '"data": [\n' + body + "\n  ]", 1)
 
 
 def _emit(doc: dict, fmt: str, out) -> None:
-    if fmt == "json" and doc["kind"] == "matrix" and doc["data"]:
+    if fmt == "json" and doc["kind"] == "matrix":
         text = _matrix_json(doc) + "\n"
     elif fmt == "json":
         text = json.dumps(doc, indent=2) + "\n"
@@ -137,29 +163,32 @@ def _cell(v) -> str:
 
 
 def _to_csv(doc: dict) -> str:
-    lines = []
     if doc["kind"] == "matrix":
-        lines.append("row,col,re,im")
-        cols = doc["cols"]
-        for k, (re, im) in enumerate(doc["data"]):
-            lines.append(f"{k // cols},{k % cols},{_num(re)},{_num(im)}")
-    else:
-        for name, value in doc["scalars"].items():
-            lines.append(f"# {name}={_cell(value)}")
-        lines.append(",".join(doc["columns"]))
-        for row in doc["rows"]:
-            lines.append(",".join(_cell(v) for v in row))
+        # one "row,col,re,im" line per entry; the pair is spelled once per
+        # distinct bit pattern, with repr (as _num) where json says NaN
+        rows, cols = doc["rows"], doc["cols"]
+        pairs, codes = _pair_codes(doc["data"])
+        spelled = ["0.0,0.0\n"] + [f"{re!r},{im!r}\n" for re, im in pairs.tolist()]
+        cells = np.empty((rows, cols, 3), dtype=object)
+        cells[..., 0] = np.array([f"{i}," for i in range(rows)], dtype=object)[:, None]
+        cells[..., 1] = np.array([f"{j}," for j in range(cols)], dtype=object)
+        cells[..., 2] = np.array(spelled, dtype=object)[codes].reshape(rows, cols)
+        return "row,col,re,im\n" + "".join(cells.ravel().tolist())
+    lines = [f"# {name}={_cell(value)}" for name, value in doc["scalars"].items()]
+    lines.append(",".join(doc["columns"]))
+    for row in doc["rows"]:
+        lines.append(",".join(_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
 def _to_text(doc: dict) -> str:
     if doc["kind"] == "matrix":
         lines = [f"matrix {doc['rows']} x {doc['cols']}"]
-        cols = doc["cols"]
+        cols, data = doc["cols"], doc["data"].tolist()
         for i in range(doc["rows"]):
             cells = []
             for j in range(cols):
-                re, im = doc["data"][i * cols + j]
+                re, im = data[i * cols + j]
                 cells.append(f"{re:+.6f}{im:+.6f}j" if im else f"{re:+.6f}")
             lines.append(f"{doc['row_labels'][i]:>24} | " + " ".join(cells))
         return "\n".join(lines) + "\n"
@@ -242,9 +271,9 @@ def _cmd_kostka(args):
 
 def _cmd_schur(args):
     su, codec = schur_unitary(args.d, args.n)
+    digits = [str(x) for x in range(args.d)]
     col_labels = [
-        "|" + "".join(str(x) for x in np.unravel_index(k, (args.d,) * args.n)) + ">"
-        for k in range(args.d**args.n)
+        "|" + "".join(word) + ">" for word in itertools.product(digits, repeat=args.n)
     ]
     return matrix_document(su.matrix, codec.row_strings(), col_labels), EXIT_OK
 
@@ -458,7 +487,9 @@ def _cmd_channel(args):
 # parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first main() call, not at import, and kept for the process
     parser = _Parser(prog="schurkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

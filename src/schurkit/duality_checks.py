@@ -2,10 +2,11 @@
 verification that it simultaneously block-diagonalizes the collective
 unitary action and the qudit-permutation action.
 
-Every conjugation S X S^T here goes through SchurTransform.conjugate on
-the torus-weight blocks the cascade builds, never the dense S; the
-leakage of verify_block_diagonal is still measured over every off-lam-block
-entry of the full d^n x d^n conjugate.
+No function here reads the dense S.  The irrep matrices multiply only
+their sector's rows of S, filled from the torus-weight blocks the cascade
+builds; every full conjugation S X S^T goes through SchurTransform.conjugate,
+and the leakage of verify_block_diagonal is still measured over every
+off-lam-block entry of the full d^n x d^n conjugate.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .combinatorics import normalize
 from .operators import (
     DenseOperator,
     collective_unitary,
-    permutation_action,
     permute_columns_like,
+    right_multiply_collective,
 )
 from .permutations import check_permutation
 from .qtypes import sector_distribution
@@ -37,19 +38,21 @@ def _require_unitary(u: np.ndarray, d: int, tol: float = 1e-8) -> np.ndarray:
 
 
 def rep_matrix_q(lam, u, d: int, n: int) -> DenseOperator:
-    """The unitary-group irrep matrix q_lam(u) on the GZ basis, extracted
-    from the Schur conjugation of u^{tensor n} at a fixed path index."""
+    """The unitary-group irrep matrix q_lam(u) on the GZ basis: the block of
+    the Schur conjugation of u^{tensor n} at a fixed path index, computed
+    from those rows of S alone."""
     u = _require_unitary(u, d)
     t = schur(d, n)
     _, nq, _ = t.codec.sector(lam)
-    rows = [t.codec.index(lam, qi, 1) for qi in range(1, nq + 1)]
-    return _irrep_block(t, collective_unitary(u, n), rows)
+    rows = _rows_of_s(t, lam, range(1, nq + 1), 1)
+    return _irrep_block(right_multiply_collective(rows, u, n), rows)
 
 
 def rep_matrix_p(lam, s, d: int = None, n: int = None) -> DenseOperator:
-    """The symmetric-group irrep matrix p_lam(s) on the path basis,
-    extracted from the Schur conjugation of the qudit permutation at a fixed
-    GZ index.  Independent of which d >= rows(lam) is used."""
+    """The symmetric-group irrep matrix p_lam(s) on the path basis: the
+    block of the Schur conjugation of the qudit permutation at a fixed GZ
+    index, computed from those rows of S alone.  Independent of which
+    d >= rows(lam) is used."""
     lam = normalize(lam)
     if n is None:
         n = len(s)
@@ -58,15 +61,24 @@ def rep_matrix_p(lam, s, d: int = None, n: int = None) -> DenseOperator:
         d = max(len(lam), 1)
     t = schur(d, n)
     _, _, np_ = t.codec.sector(lam)
-    rows = [t.codec.index(lam, 1, pi) for pi in range(1, np_ + 1)]
-    return _irrep_block(t, permutation_action(s, d), rows)
+    rows = _rows_of_s(t, lam, [1], np_)
+    return _irrep_block(permute_columns_like(rows, s, d), rows)
 
 
-def _irrep_block(t, x, rows) -> DenseOperator:
-    """The (rows, rows) block of S x S^T, labeled 1, 2, ..."""
-    w = t.conjugate(x)
+def _rows_of_s(t, lam, qis, paths: int) -> np.ndarray:
+    """The rows (lam, qi, 1..paths) of S for each qi in qis, as a dense
+    (len(qis) * paths, d^n) array filled from the weight blocks."""
+    out = np.zeros((len(qis), paths, len(t.codec)))
+    for k, qi in enumerate(qis):
+        block, cols = t.sector_rows(lam, qi)
+        out[k][:, cols] = block[:paths]
+    return out.reshape(-1, len(t.codec))
+
+
+def _irrep_block(xr, rows) -> DenseOperator:
+    """rows x rows^T from xr = rows x, labeled 1, 2, ..."""
     labels = list(range(1, len(rows) + 1))
-    return DenseOperator(w[np.ix_(rows, rows)], row_labels=labels, col_labels=labels)
+    return DenseOperator(xr @ rows.T, row_labels=labels, col_labels=labels)
 
 
 @dataclass

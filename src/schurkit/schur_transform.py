@@ -252,6 +252,15 @@ class SchurTransform:
                 raise ValueError(f"weight blocks of S({d}, {n}) miss or repeat {what}")
         self.classes, self.cols, self.pos = classes, all_cols, np.argsort(all_rows)
 
+    def sector_rows(self, lam, qi: int) -> tuple:
+        """The dim_p rows (lam, qi, 1..dim_p) of S, consecutive rows of the
+        block of their weight, restricted to that block's columns, and those
+        columns; qi is an index in [1, dim_q(lam)]."""
+        _, _, np_ = self.codec.sector(lam)
+        rows, cols, block = self.by_weight[gz_weight(self.codec.gz_pattern(lam, qi))]
+        top = np.searchsorted(rows, self.codec.index(lam, qi, 1))
+        return block[top : top + np_], cols
+
     @cached_property
     def dense(self) -> DenseOperator:
         """S as a (d^n x d^n) DenseOperator, assembled from the blocks on
@@ -396,10 +405,7 @@ def _dfs_sector(lam, q, vec, encode: bool, d: int, n: int):
     length = np_ if encode else d**n
     if vec.shape[0] != length:
         raise ValueError(f"vector length must be {length}")
-    # the sector's rows are consecutive rows of the block of its weight
-    rows, cols, block = t.by_weight[gz_weight(patterns[qi - 1])]
-    top = np.searchsorted(rows, t.codec.index(lam, qi, 1))
-    return block[top : top + np_], cols, vec
+    return (*t.sector_rows(lam, qi), vec)
 
 
 def dfs_encode(lam, q, p_state, d: int, n: int) -> np.ndarray:

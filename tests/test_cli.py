@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurkit.cli import _build_parser, _emit, main, matrix_document
+from schurkit.cli import _build_parser, _emit, _num, main, matrix_document
 
 SCHEMA = json.loads(
     resources.files("schurkit").joinpath("schemas/document.schema.json").read_text()
@@ -222,7 +222,48 @@ def test_matrix_json_is_the_indented_dump(case):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         _emit(doc, "json", None)
+    doc["data"] = doc["data"].tolist()
     assert buf.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def _emitted(doc, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(doc, fmt, None)
+    return buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_matrix_csv_and_table_are_the_per_entry_loops(case):
+    matrix, row_labels, col_labels = case
+    doc = matrix_document(matrix, row_labels, col_labels)
+    assert doc["data"].dtype == np.float64
+    assert doc["data"].shape == (doc["rows"] * doc["cols"], 2)
+    cols, data = doc["cols"], doc["data"].tolist()
+    lines = ["row,col,re,im"]
+    for k, (re, im) in enumerate(data):
+        lines.append(f"{k // cols},{k % cols},{_num(re)},{_num(im)}")
+    assert _emitted(doc, "csv") == "\n".join(lines) + "\n"
+    lines = [f"matrix {doc['rows']} x {cols}"]
+    for i in range(doc["rows"]):
+        cells = []
+        for re, im in data[i * cols : (i + 1) * cols]:
+            cells.append(f"{re:+.6f}{im:+.6f}j" if im else f"{re:+.6f}")
+        lines.append(f"{doc['row_labels'][i]:>24} | " + " ".join(cells))
+    assert _emitted(doc, "table") == "\n".join(lines) + "\n"
+
+
+def test_the_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (3, 2), (11, 2)])
+def test_schur_column_labels_are_the_computational_basis(d, n):
+    args = _build_parser().parse_args(["schur", "--d", str(d), "--n", str(n)])
+    doc, _ = args.func(args)
+    digits = [np.unravel_index(k, (d,) * n) for k in range(d**n)]
+    assert doc["col_labels"] == ["|" + "".join(map(str, w)) + ">" for w in digits]
 
 
 @pytest.mark.parametrize(
@@ -239,6 +280,8 @@ def test_json_output_is_the_indented_dump_of_the_document(capsys, argv):
     assert code == 0
     args = _build_parser().parse_args(list(argv))
     doc, _ = args.func(args)
+    if doc["kind"] == "matrix":
+        doc["data"] = doc["data"].tolist()
     assert out == json.dumps(doc, indent=2) + "\n"
 
 

@@ -12,7 +12,9 @@ from schurkit.duality_checks import (
     verify_block_diagonal,
 )
 from schurkit.permutations import all_permutations, compose
+from schurkit.operators import collective_unitary, permutation_action
 from schurkit.qtypes import sector_distribution
+from schurkit.schur_transform import schur
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (3, 3), (3, 4), (2, 10), (32, 2)])
@@ -52,6 +54,24 @@ def test_rep_matrix_q_rejects_foreign_partitions(lam):
         rep_matrix_q(lam, np.eye(2), 2, 4)
     with pytest.raises(ValueError):
         rep_matrix_p(lam, (2, 1, 3, 4), 2, 4)
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (2, 10)])
+def test_rep_matrices_match_the_full_conjugation(rng, d, n):
+    t = schur(d, n)
+    u = haar_unitary(rng, d)
+    s = random_permutation(rng, n)
+    wq = t.conjugate(collective_unitary(u, n))
+    wp = t.conjugate(permutation_action(s, d))
+    for lam, (_, nq, np_) in t.codec.sectors.items():
+        rows = [t.codec.index(lam, qi, 1) for qi in range(1, nq + 1)]
+        got = rep_matrix_q(lam, u, d, n)
+        assert got.shape == (nq, nq)
+        assert np.abs(got.matrix - wq[np.ix_(rows, rows)]).max() < 1e-12
+        rows = [t.codec.index(lam, 1, pi) for pi in range(1, np_ + 1)]
+        got = rep_matrix_p(lam, s, d, n)
+        assert got.shape == (np_, np_)
+        assert np.abs(got.matrix - wp[np.ix_(rows, rows)]).max() < 1e-12
 
 
 def test_rep_matrix_p_is_youngs_orthogonal_form():

@@ -8,6 +8,7 @@ from schurkit.operators import (
     permutation_action,
     permute_columns_like,
     real_complex_matmul,
+    right_multiply_collective,
 )
 from schurkit.permutations import all_permutations, compose
 
@@ -55,6 +56,16 @@ def test_collective_unitary(rng):
     u = haar_unitary(rng, 2)
     big = collective_unitary(u, 3)
     assert np.abs(big - np.kron(u, np.kron(u, u))).max() < 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 3)])
+def test_right_multiply_collective_matches_dense_product(rng, d, n):
+    u = haar_unitary(rng, d)
+    for m in (rng.normal(size=(5, d**n)), rng.normal(size=(1, d**n)) + 1j):
+        expected = m @ collective_unitary(u, n)
+        assert np.abs(right_multiply_collective(m, u, n) - expected).max() < 1e-12
+    with pytest.raises(ValueError):
+        right_multiply_collective(np.eye(3), u, n)
 
 
 def test_real_complex_matmul_matches_dense(rng):
