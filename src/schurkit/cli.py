@@ -97,13 +97,12 @@ def table_document(columns, rows, scalars=None) -> dict:
     }
 
 
-def _pair_codes(data: np.ndarray) -> tuple:
-    """Group the [re, im] rows of data by bit pattern: the distinct pairs
-    other than [0.0, 0.0], once each as a (k, 2) float64 array, and every
-    row's code, 0 for [0.0, 0.0] and j for pair j - 1.  Only the words with
-    a bit set are sorted (-0.0 is one of them)."""
-    bits = data.view(np.int64)
-    live = bits != 0
+def _spelled_entries(doc: dict, spell) -> np.ndarray:
+    """The (rows, cols) object array of a matrix document's entries: spell
+    maps the distinct [re, im] pairs of the data (one per bit pattern, as a
+    (k, 2) float64 array, [0.0, 0.0] first) to their k spellings."""
+    bits = doc["data"].view(np.int64)
+    live = bits != 0  # only the words with a bit set are sorted; -0.0 has one
     distinct, which = np.unique(bits[live], return_inverse=True)
     base = len(distinct) + 1
     words = np.zeros(bits.shape, np.int64)
@@ -113,27 +112,32 @@ def _pair_codes(data: np.ndarray) -> tuple:
     kinds, which = np.unique(keys[live], return_inverse=True)
     codes = np.zeros(len(keys), np.intp)
     codes[live] = which + 1
+    kinds = np.concatenate([[0], kinds])
     values = np.concatenate([[0.0], distinct.view(np.float64)])
-    return np.stack([values[kinds // base], values[kinds % base]], axis=1), codes
+    pairs = np.stack([values[kinds // base], values[kinds % base]], axis=1)
+    spelled = np.array(spell(pairs), dtype=object)
+    return spelled[codes].reshape(doc["rows"], doc["cols"])
 
 
 _PAIR = "    [\n      %s,\n      %s\n    ]"
 
 
+def _json_pairs(pairs: np.ndarray) -> list:
+    """The pairs as the C encoder spells them (-0.0, NaN and Infinity as
+    json does), each in its indent=2 list form."""
+    words = json.dumps(pairs.ravel().tolist())[1:-1].split(", ")
+    return [_PAIR % pair for pair in zip(words[::2], words[1::2])]
+
+
 def _matrix_json(doc: dict) -> str:
     """json.dumps(doc, indent=2) for a matrix document, without the
-    pure-Python encoder that indent selects: the C encoder spells each
-    distinct [re, im] pair of the data once (-0.0, NaN and Infinity as json
-    does), and the pairs are joined by their codes."""
+    pure-Python encoder that indent selects: each distinct [re, im] pair of
+    the data is spelled once and the entries are joined in order."""
     # "data" follows kind, rows and cols, so its null is the first one
     head = json.dumps({**doc, "data": None}, indent=2)
     if not doc["data"].size:
         return head.replace('"data": null', '"data": []', 1)
-    pairs, codes = _pair_codes(doc["data"])
-    words = json.dumps(pairs.ravel().tolist())[1:-1].split(", ")
-    spelled = [_PAIR % ("0.0", "0.0")]
-    spelled += [_PAIR % pair for pair in zip(words[::2], words[1::2])]
-    body = ",\n".join(np.array(spelled, dtype=object)[codes].tolist())
+    body = ",\n".join(_spelled_entries(doc, _json_pairs).ravel().tolist())
     return head.replace('"data": null', '"data": [\n' + body + "\n  ]", 1)
 
 
@@ -164,15 +168,15 @@ def _cell(v) -> str:
 
 def _to_csv(doc: dict) -> str:
     if doc["kind"] == "matrix":
-        # one "row,col,re,im" line per entry; the pair is spelled once per
-        # distinct bit pattern, with repr (as _num) where json says NaN
+        # one "row,col,re,im" line per entry, the pair spelled with repr (as
+        # _num) where json says NaN
         rows, cols = doc["rows"], doc["cols"]
-        pairs, codes = _pair_codes(doc["data"])
-        spelled = ["0.0,0.0\n"] + [f"{re!r},{im!r}\n" for re, im in pairs.tolist()]
         cells = np.empty((rows, cols, 3), dtype=object)
         cells[..., 0] = np.array([f"{i}," for i in range(rows)], dtype=object)[:, None]
         cells[..., 1] = np.array([f"{j}," for j in range(cols)], dtype=object)
-        cells[..., 2] = np.array(spelled, dtype=object)[codes].reshape(rows, cols)
+        cells[..., 2] = _spelled_entries(
+            doc, lambda pairs: [f"{re!r},{im!r}\n" for re, im in pairs.tolist()]
+        )
         return "row,col,re,im\n" + "".join(cells.ravel().tolist())
     lines = [f"# {name}={_cell(value)}" for name, value in doc["scalars"].items()]
     lines.append(",".join(doc["columns"]))
@@ -183,14 +187,12 @@ def _to_csv(doc: dict) -> str:
 
 def _to_text(doc: dict) -> str:
     if doc["kind"] == "matrix":
+        entries = _spelled_entries(doc, lambda pairs: [
+            f"{re:+.6f}{im:+.6f}j" if im else f"{re:+.6f}" for re, im in pairs.tolist()
+        ])
         lines = [f"matrix {doc['rows']} x {doc['cols']}"]
-        cols, data = doc["cols"], doc["data"].tolist()
-        for i in range(doc["rows"]):
-            cells = []
-            for j in range(cols):
-                re, im = data[i * cols + j]
-                cells.append(f"{re:+.6f}{im:+.6f}j" if im else f"{re:+.6f}")
-            lines.append(f"{doc['row_labels'][i]:>24} | " + " ".join(cells))
+        for label, cells in zip(doc["row_labels"], entries.tolist()):
+            lines.append(f"{label:>24} | " + " ".join(cells))
         return "\n".join(lines) + "\n"
     widths = [len(c) for c in doc["columns"]]
     rows = [[_cell(v) for v in row] for row in doc["rows"]]

@@ -164,8 +164,9 @@ def _ancilla_pipeline(state, d: int, n: int):
     Fourier-transform the ancilla.
 
     Returns the Fourier layout, the n! x d^n joint register (rows in the
-    layout's order) and uncompute(branch), which inverts both steps on a
-    joint register and returns its component on the trivial ancilla.
+    layout's order) and uncompute(sl, part), which inverts both steps on the
+    joint register that holds part in rows sl and zeros elsewhere, and
+    returns its component on the trivial ancilla.
     """
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape[0] != d**n:
@@ -180,8 +181,8 @@ def _ancilla_pipeline(state, d: int, n: int):
     joint[rows, dest] = trivial[:, None] * state
     joint = f.matrix @ joint
 
-    def uncompute(branch: np.ndarray) -> np.ndarray:
-        return trivial @ (f.matrix.T @ branch)[rows, dest]
+    def uncompute(sl: slice, part: np.ndarray) -> np.ndarray:
+        return trivial @ (f.matrix[sl].T @ part)[rows, dest]
 
     return layout, joint, uncompute
 
@@ -204,13 +205,12 @@ def gpe_measure(state, d: int, n: int) -> GPEResult:
     layout, joint, uncompute = _ancilla_pipeline(state, d, n)
     result = GPEResult(distribution={}, post_states={}, ancilla_fidelity={})
     for lam, sl in layout.blocks:
-        branch = np.zeros_like(joint)
-        branch[sl, :] = joint[sl, :]
-        prob = float((np.abs(branch) ** 2).sum())
+        part = joint[sl]
+        prob = float((np.abs(part) ** 2).sum())
         result.distribution[lam] = prob
         if prob < 1e-14:
             continue
-        post = uncompute(branch)
+        post = uncompute(sl, part)
         norm = np.linalg.norm(post)
         result.post_states[lam] = post / norm if norm > 0 else post
         result.ancilla_fidelity[lam] = float(norm**2 / prob)
@@ -241,15 +241,14 @@ def gpe_instrument(ops: dict, state, d: int, n: int) -> dict:
             raise ValueError(f"instrument not normalized on sector {lam}")
     out = {}
     for x, fam in ops.items():
-        moved = np.zeros_like(joint)
+        post = np.zeros(joint.shape[1], dtype=complex)
         for lam, sl in layout.blocks:
             if lam not in fam:
                 continue
             k = dim_p(lam)
             a = np.asarray(fam[lam], dtype=complex)
-            blk = joint[sl, :].reshape(k, k, -1)
-            moved[sl, :] = np.einsum("qp,apx->aqx", a, blk).reshape(k * k, -1)
-        post = uncompute(moved)
+            blk = joint[sl].reshape(k, k, -1)
+            post += uncompute(sl, np.einsum("qp,apx->aqx", a, blk).reshape(k * k, -1))
         prob = float(np.linalg.norm(post) ** 2)
         out[x] = (prob, post / math.sqrt(prob) if prob > 1e-14 else post)
     return out

@@ -16,17 +16,17 @@ products and takes the positive root.  This convention makes every assembled
 CG block exactly unitary and reproduces the standard two-level (singlet /
 triplet) matrices; see tests for the independent spectral-projector oracle.
 
-For fixed (mu, mu'') these coefficients form the d x d that_matrix, from
-which and the rank-(d-1) blocks cg_triplets assembles the rank-d block.  A
-block is kept only as its coupling triplets: the (row, column, value) of
-every nonzero entry, rows ascending.  Input patterns q = q' + (lam,) come in
-runs of equal q_{d-1} = mu.  Qudit value d leaves q' alone (j' = 0,
-mu'' = mu); a value i < d couples q' through the rank-(d-1) triplets of mu
-to outcomes (mu'' = mu + e_j', g'').  Each outcome goes to row
-(lam + e_j, g'' + (lam + e_j,)) scaled by that_matrix(lam, mu'')[j, j'].  By
-the weight rule such a block couples (q, i) only to patterns of weight
-weight(q) + e_i, so it holds a few entries per column; cg_block is the dense
-view, formed on request.
+cg_triplets assembles the rank-d block from these coefficients and the
+rank-(d-1) blocks; that_matrix is the d x d view of the coefficients for
+fixed (mu, mu'').  A block is kept only as its coupling triplets: the (row,
+column, value) of every nonzero entry, rows ascending.  Input patterns
+q = q' + (lam,) come in runs of equal q_{d-1} = mu.  Qudit value d leaves q'
+alone (j' = 0, mu'' = mu); a value i < d couples q' through the rank-(d-1)
+triplets of mu to outcomes (mu'' = mu + e_j', g'').  Each outcome goes to row
+(lam + e_j, g'' + (lam + e_j,)) scaled by the coefficient of
+(lam, j | mu, j').  By the weight rule such a block couples (q, i) only to
+patterns of weight weight(q) + e_i, so it holds a few entries per column;
+cg_block is the dense view, formed on request.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import (
+    _shifted,
     add_box,
     dim_q,
     enumerate_gz,
@@ -48,11 +49,6 @@ from .combinatorics import (
     pad,
 )
 from .operators import DenseOperator, require_dense
-
-
-def _shifted_rows(lam, rows: int, offset: int) -> tuple:
-    lam = pad(lam, rows)
-    return tuple(lam[i] + offset - i for i in range(rows))
 
 
 def is_structural_zero(mu, j: int, mup, jp: int, d: int) -> bool:
@@ -87,21 +83,27 @@ def reduced_wigner(mu, j: int, mup, jp: int, d: int) -> float:
     """
     if not is_partition(tuple(mu)) or not is_partition(tuple(mup)):
         raise ValueError(f"mu={tuple(mu)} and mu'={tuple(mup)} must be partitions")
-    return _reduced_wigner(normalize(mu), j, normalize(mup), jp, d)
-
-
-@lru_cache(maxsize=None)
-def _reduced_wigner(mu, j: int, mup, jp: int, d: int) -> float:
+    mu, mup = normalize(mu), normalize(mup)
     if d < 1 or not 1 <= j <= d or not 0 <= jp <= d - 1:
         raise ValueError(f"indices out of range: j={j}, j'={jp}, d={d}")
     if len(mu) > d or len(mup) > max(d - 1, 0):
         raise ValueError("partition has too many rows for this rank")
-    if d == 1:
-        return 1.0
     if is_structural_zero(mu, j, mup, jp, d):
         return 0.0
-    mt = _shifted_rows(mu, d, d - 1)
-    mpt = _shifted_rows(mup, d - 1, d - 2)
+    return _reduced_wigner(mu, j, mup, jp, d)
+
+
+@lru_cache(maxsize=None)
+def _reduced_wigner(mu, j: int, mup, jp: int, d: int) -> float:
+    """The product formula for canonical mu, mu'.  Callers pass only pairs
+    that obey the selection rules (indices in range, mu' interlacing mu,
+    mu + e_j and mu' + e_j' partitions, mu' + e_j' interlacing mu + e_j):
+    nothing here checks them, and any other pair gives a wrong value or a
+    ZeroDivisionError, not 0.0."""
+    if d == 1:
+        return 1.0
+    mt = _shifted(mu, d)
+    mpt = _shifted(mup, d - 1)
     den = 1
     for s in range(d):
         if s != j - 1:
@@ -179,9 +181,8 @@ def that_matrix(mu, mupp, d: int) -> DenseOperator:
     for j in rows:
         for jp, mup in cols:
             m[j - 1, jp] = _reduced_wigner(mu, j, mup, jp, d)
-    live_cols = {jp for jp, _ in cols}
-    dead_rows = [j for j in range(1, d + 1) if j not in rows]
-    dead_cols = [jp for jp in range(d) if jp not in live_cols]
+    dead_rows = sorted(set(range(1, d + 1)) - set(rows))
+    dead_cols = sorted(set(range(d)) - {jp for jp, _ in cols})
     for j, jp in zip(dead_rows, dead_cols):
         m[j - 1, jp] = 1.0
     return DenseOperator(m, row_labels=list(range(1, d + 1)), col_labels=list(range(d)))
@@ -240,7 +241,7 @@ def _cg_triplets(lam, d: int, lower: dict) -> tuple:
         for mupp in interlacing_partitions(lp, d - 1):
             run[lp, mupp] = start
             start += dim_q(mupp, d - 1)
-    lam_p, col, couplings, chunks = pad(lam, d), 0, {}, []
+    lam_p, col, chunks = pad(lam, d), 0, []
     # lam + e_j for each j, up to the last row that can take a box
     grown = [
         normalize(lam_p[:j] + (lam_p[j] + 1,) + lam_p[j + 1 :])
@@ -259,14 +260,12 @@ def _cg_triplets(lam, d: int, lower: dict) -> tuple:
             idx = cols[:, :-1].ravel()[lower_cols[a:b]]
             parts.append((mupp, jp, rows[a:b] - sl.start, idx, vals[a:b]))
         for mupp, jp, r, c, v in parts:
-            if mupp not in couplings:
-                couplings[mupp] = that_matrix(lam, mupp, d).matrix
-            # only (j, j') of an actual lam + e_j: the unit entries that
-            # complete that_matrix are not coupling coefficients
+            # mu interlaces lam and mu'' = mu + e_j', so every lam + e_j that
+            # mu'' interlaces gives a pair that obeys the selection rules
             for j, lp in enumerate(grown):
                 r0 = run.get((lp, mupp))
                 if r0 is not None:
-                    chunks.append((r0 + r, c, couplings[mupp][j, jp] * v))
+                    chunks.append((r0 + r, c, _reduced_wigner(lam, j + 1, mu, jp, d) * v))
     # a run holds the outcomes of several mu, each at its own columns, so
     # every entry is written once
     rows, cols, vals = (np.concatenate(a) for a in zip(*chunks))

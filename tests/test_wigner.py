@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurkit
+from schurkit import wigner
 from schurkit.combinatorics import (
     add_box,
     dim_q,
@@ -19,6 +20,7 @@ from schurkit.combinatorics import (
     normalize,
     pad,
 )
+from schurkit.schur_transform import SchurTransform
 from schurkit.wigner import (
     _valid_cols,
     _valid_rows,
@@ -40,6 +42,11 @@ def test_reduced_wigner_trivial_cases():
 def test_structural_zeros_are_reported_as_zero():
     # mu' does not interlace mu + e_j
     assert is_structural_zero((2,), 2, (2,), 1, 2)
+    assert reduced_wigner((2,), 2, (2,), 1, 2) == 0.0
+    # a build fills the formula's cache with the pairs of (2,) at d = 2;
+    # the selection rules still answer before the formula is reached
+    cg_block((2,), 2)
+    SchurTransform(2, 3)
     assert reduced_wigner((2,), 2, (2,), 1, 2) == 0.0
 
 
@@ -90,6 +97,22 @@ def test_that_matrix_is_orthogonal_property(args):
     valid = t[np.ix_(rows, cols)]
     assert np.abs(valid.T @ valid - np.eye(len(rows))).max() < 1e-12
     assert np.abs(t.T @ t - np.eye(d)).max() < 1e-12
+    for j in _valid_rows(mu, mupp, d):
+        for jp, mup in _valid_cols(mu, mupp, d):
+            assert t[j - 1, jp] == reduced_wigner(mu, j, mup, jp, d)
+
+
+def test_cascade_never_calls_that_matrix(monkeypatch):
+    """The build reads each coefficient from the formula: that_matrix is a
+    view for callers, not a step of the cascade."""
+
+    def refuse(*args):
+        raise AssertionError("the build called that_matrix")
+
+    monkeypatch.setattr(wigner, "that_matrix", refuse)
+    SchurTransform(3, 4)
+    SchurTransform(4, 3)
+    assert cg_block((2, 1), 4).unitarity_residual() < 1e-12
 
 
 def _full_scan_rows(mu, mupp, d):
