@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -149,10 +149,13 @@ class SchurTransform:
     paths are stacked per top shape, with their amplitudes kept per letter
     content w as a (GZ patterns of weight w, paths, words of content w)
     array; the words of content w are those of content w - e_i followed by
-    letter i, for each i in turn.  No dense CG block is formed: the coupling
-    triplets of every shape the cascade couples are built once, in one
-    rank-by-rank pass, and each step scatters those of its top shapes into
-    the (output shape, output weight, letter) sub-blocks it multiplies by.
+    letter i, for each i in turn.  Each step allocates these arrays once,
+    zero-filled, and writes every CG product straight into its (paths of
+    the input shape, words ending in letter i) slice; no amplitude is
+    concatenated.  No dense CG block is formed: the coupling triplets of
+    every shape the cascade couples are built once, in one rank-by-rank
+    pass, and each step scatters those of its top shapes into the (output
+    shape, output weight, letter) sub-blocks it multiplies by.
     Raises ValueError if a triplet couples (q, i) to a pattern of weight
     other than weight(q) + e_i.  Each path carries its rank, grown by
     sibling_offset at every step; the build raises unless the ranks of every
@@ -163,7 +166,9 @@ class SchurTransform:
     a weight (the letter counts) to the block's codec rows and computational
     columns, both ascending, and its matrix; classes holds (start, (k, m, m)
     stack) per block size, cols the columns in block order and pos[r] the
-    block-order position of codec row r.  All arrays are read-only.
+    block-order position of codec row r.  Each stack is allocated once and
+    filled from the amplitude arrays, each dropped once its rows are in
+    place.  All arrays are read-only.
     """
 
     def __init__(self, d: int, n: int):
@@ -187,59 +192,83 @@ class SchurTransform:
             for w, seg in segments.items():
                 for i, v in seg:
                     plus[code[v], i] = grown_code[w]
-            grown = {}
+            # the grown words, and the slice of each (content, letter) segment
+            # among them
+            grown_words, span = {}, {}
+            for w, seg in segments.items():
+                grown_words[w] = np.concatenate([words[v] * d + i for i, v in seg])
+                stops = accumulate(len(words[v]) for _, v in seg)
+                for (i, v), stop in zip(seg, stops):
+                    span[w, i] = slice(stop - len(words[v]), stop)
+            # the slice of the paths of mu among those of each grown shape
+            paths, at = {}, {}
+            for mu, (ranks, _) in tops.items():
+                for lp in add_box(mu, d):
+                    top = paths.get(lp, 0)
+                    at[mu, lp] = slice(top, top + len(ranks))
+                    paths[lp] = top + len(ranks)
+            # -1 is no rank, so a path left unwritten fails the rank-order check
+            grown = {
+                lp: (
+                    np.full(p, -1, dtype=np.intp),
+                    {
+                        w: np.zeros((len(ks), p, len(grown_words[w])))
+                        for w, ks in _weight_classes(lp, d).items()
+                    },
+                )
+                for lp, p in paths.items()
+            }
             for mu, (ranks, amps) in tops.items():
                 subs = _cg_sub_blocks(mu, d, triplets.pop(mu), code, grown_code, plus)
                 q_of = _weight_classes(mu, d)
                 for t, lp in enumerate(add_box(mu, d)):
-                    new_ranks, new_amps = grown.setdefault(lp, ([], {}))
-                    new_ranks.append(ranks + sibling_offset(mu, lp))
-                    for w, ks in _weight_classes(lp, d).items():
-                        parts = []
+                    new_ranks, new_amps = grown[lp]
+                    sl = at[mu, lp]
+                    new_ranks[sl] = ranks + sibling_offset(mu, lp)
+                    for w, a in new_amps.items():
+                        # segments of a content no pattern of mu has stay zero
                         for i, v in segments[w]:
                             if v not in q_of:
-                                parts.append(np.zeros((len(ks), len(ranks), len(words[v]))))
                                 continue
-                            cg = np.zeros((len(ks), len(q_of[v])))
+                            cg = np.zeros((len(a), len(q_of[v])))
                             key = (t * len(segments) + grown_code[w]) * d + i
                             if key in subs:
                                 r, c, x = subs[key]
                                 cg[r, c] = x
                             prod = cg @ amps[v].reshape(len(q_of[v]), -1)
-                            parts.append(prod.reshape(len(ks), len(ranks), -1))
-                        new_amps.setdefault(w, []).append(np.concatenate(parts, axis=2))
-            words = {
-                w: np.concatenate([words[v] * d + i for i, v in seg])
-                for w, seg in segments.items()
-            }
-            tops = {
-                lp: (
-                    np.concatenate(ranks),
-                    {w: np.concatenate(a, axis=1) for w, a in amps.items()},
-                )
-                for lp, (ranks, amps) in grown.items()
-            }
+                            a[:, sl, span[w, i]] = prod.reshape(len(a), len(ranks), -1)
+            words, tops = grown_words, grown
         # the finished rows per weight, ascending: shapes in codec order, then
         # patterns in enumerate_gz order, then paths by rank
-        rows, blocks = {}, {}
+        pieces = {}
         for lam in enumerate_partitions(d, n):
-            ranks, amps = tops[lam]
+            ranks, amps = tops.pop(lam)
             if not np.array_equal(ranks, np.arange(dim_p(lam))):
                 raise ValueError(f"paths of {lam} at d={d} are not stacked in rank order")
             for w, a in amps.items():
                 qs = _weight_classes(lam, d)[w][:, None]
                 r = codec.index(lam, 1, 1) + qs * len(ranks) + np.arange(len(ranks))
-                rows.setdefault(w, []).append(r.reshape(-1))
-                blocks.setdefault(w, []).append(a.reshape(r.size, -1))
-        # blocks by size, ties in descending order of the letter counts
+                pieces.setdefault(w, []).append((r.reshape(-1), a.reshape(r.size, -1)))
+        # blocks by size, ties in descending order of the letter counts, one
+        # (k, m, m) stack per size m; the amplitudes of a block are dropped
+        # once they are in place
         order = sorted(sorted(words, reverse=True), key=lambda w: len(words[w]))
-        rows = [np.concatenate(rows[w]) for w in order]
+        rows, classes, start = [], [], 0
+        for m, group in groupby(order, key=lambda w: len(words[w])):
+            group = list(group)
+            stack = np.zeros((len(group), m, m))
+            for block, w in zip(stack, group):
+                block_rows, block_amps = zip(*pieces.pop(w))
+                rows.append(np.concatenate(block_rows))
+                # perm is a permutation of range(m), so "clip" clips nothing
+                # and spares the buffered copy that out= costs under "raise"
+                perm, top = np.argsort(words[w]), 0
+                for a in block_amps:
+                    a.take(perm, axis=1, out=block[top : top + len(a)], mode="clip")
+                    top += len(a)
+            classes.append((start, stack))
+            start += len(group) * m
         cols = [np.sort(words[w]) for w in order]
-        blocks = [np.concatenate(blocks[w])[:, np.argsort(words[w])] for w in order]
-        classes, start = [], 0
-        for m, group in groupby(blocks, key=len):
-            classes.append((start, np.stack(list(group))))
-            start += classes[-1][1].size // m
         views = [block for _, stack in classes for block in stack]
         for a in rows + cols + [stack for _, stack in classes]:
             a.flags.writeable = False
@@ -264,11 +293,11 @@ class SchurTransform:
     @cached_property
     def dense(self) -> DenseOperator:
         """S as a (d^n x d^n) DenseOperator, assembled from the blocks on
-        first request."""
+        first request, each written through one flat-index scatter."""
         dim = len(self.codec)
         u = np.zeros((dim, dim))
         for rows, cols, block in self.by_weight.values():
-            u[np.ix_(rows, cols)] = block
+            u.reshape(-1)[(rows[:, None] * dim + cols).reshape(-1)] = block.reshape(-1)
         return DenseOperator(u, row_labels=self.codec.triples, col_labels=range(dim))
 
     def _blockdiag_matmul(self, y: np.ndarray, out=None) -> np.ndarray:

@@ -313,6 +313,35 @@ def test_measure_schur_peak_memory_on_warm_transform(rng):
     assert peak < 2 * 2**20
 
 
+def test_build_peak_stays_within_three_times_the_kept_blocks():
+    SchurTransform(2, 10)  # warm the shared pattern and coefficient caches
+    tracemalloc.start()
+    try:
+        built = SchurTransform(2, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(stack.nbytes for _, stack in built.classes)
+    assert peak <= 3 * kept, f"peak {peak} B is {peak / kept:.2f}x the {kept} B kept"
+
+
+@pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3), (32, 2), (1, 3), (3, 1)])
+def test_dense_view_matches_a_per_block_scatter(d, n, rng):
+    t = schur(d, n)
+    dim = d**n
+    expected = np.zeros((dim, dim))
+    for rows, cols, block in t.by_weight.values():
+        expected[np.ix_(rows, cols)] = block
+    s = t.dense.matrix
+    assert s.dtype == expected.dtype and s.tobytes() == expected.tobytes()
+    vec = rng.normal(size=(dim, 3))
+    for x in (vec, vec + 1j * rng.normal(size=(dim, 3))):
+        assert np.abs(t.apply(x) - s @ x).max() <= 1e-12
+    mat = rng.normal(size=(dim, dim))
+    for x in (mat, mat + 1j * rng.normal(size=(dim, dim))):
+        assert np.abs(t.conjugate(x) - s @ x @ s.T).max() <= 1e-12
+
+
 def _small_cells():
     return st.integers(1, 8).flatmap(
         lambda n: st.tuples(
