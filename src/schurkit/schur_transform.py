@@ -9,7 +9,7 @@ schur_unitary assembles the dense matrix.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, groupby
 
 import numpy as np
@@ -100,172 +100,161 @@ def _weight_classes(lam, d: int) -> dict:
     return {w: np.array(ks) for w, ks in out.items()}
 
 
-def _pattern_codes(lam, d: int, code: dict) -> tuple:
-    """code[weight] of each GZ pattern of lam and its place among the
-    patterns of that weight, in enumerate_gz order."""
+@lru_cache(maxsize=None)
+def _pattern_codes(lam, d: int) -> tuple:
+    """The number of the weight of each GZ pattern of lam among the weights
+    of lam (_weight_classes order) and its place among the patterns of that
+    weight, in enumerate_gz order."""
     codes = np.empty(dim_q(lam, d), dtype=np.intp)
     places = np.empty_like(codes)
-    for w, ks in _weight_classes(lam, d).items():
-        codes[ks] = code[w]
+    for c, ks in enumerate(_weight_classes(lam, d).values()):
+        codes[ks] = c
         places[ks] = np.arange(len(ks))
+    codes.flags.writeable = places.flags.writeable = False
     return codes, places
 
 
-def _cg_sub_blocks(mu, d: int, triplets, code: dict, grown_code: dict, plus) -> dict:
-    """The coupling triplets of mu at rank d, grouped by sub-block.
-
-    Keys are (t * len(grown_code) + grown_code[w]) * d + i for output shape
-    add_box(mu, d)[t], output weight w and letter index i; values are the
-    (row, column, value) arrays of the entries in the dense sub-block
-    (patterns of that shape of weight w, patterns of mu of weight w - e_i).
-    plus[code[v], i] is grown_code[v + e_i].  Raises ValueError if a triplet
-    couples (q, i) to a pattern of weight other than weight(q) + e_i.
-    """
+def _cg_sub_blocks(mu, d: int, triplets):
+    """The coupling triplets of mu at rank d, grouped by sub-block: one
+    (output class, letter index i, input weight, rows, columns, values)
+    per sub-block.  The output classes number the (shape, weight) pairs of
+    add_box(mu, d) in order, the input weights those of mu, each in
+    _weight_classes order; rows and columns index the dense sub-block
+    (patterns of that shape and weight, patterns of mu of that weight)."""
     rows, cols, vals = triplets
     q, i = np.divmod(cols, d)
-    in_codes, q_places = _pattern_codes(mu, d, code)
-    outs = [_pattern_codes(lp, d, grown_code) for lp in add_box(mu, d)]
-    out_codes = np.concatenate([c for c, _ in outs])[rows]
-    if np.any(out_codes != plus[in_codes[q], i]):
-        raise ValueError(f"CG block of {mu} at d={d} breaks torus weight")
-    shape_of = np.repeat(np.arange(len(outs)), [len(c) for c, _ in outs])[rows]
-    key = (shape_of * len(grown_code) + out_codes) * d + i
+    in_codes, q_places = _pattern_codes(mu, d)
+    outs = [_pattern_codes(lp, d) for lp in add_box(mu, d)]
+    shifts = list(accumulate((c.max() + 1 for c, _ in outs), initial=0))
+    out_codes = np.concatenate([c + s for (c, _), s in zip(outs, shifts)])
+    dims = (shifts[-1], d, in_codes.max() + 1)
+    key = np.ravel_multi_index((out_codes[rows], i, in_codes[q]), dims)
     order = np.argsort(key, kind="stable")
-    key, places = key[order], np.concatenate([p for _, p in outs])[rows[order]]
-    q_places, vals = q_places[q[order]], vals[order]
+    key = key[order]
     cuts = np.flatnonzero(np.diff(key)) + 1
     starts, stops = np.r_[0, cuts], np.r_[cuts, len(key)]
-    return {
-        k: (places[a:b], q_places[a:b], vals[a:b])
-        for k, a, b in zip(key[starts].tolist(), starts.tolist(), stops.tolist())
-    }
+    heads = (h.tolist() for h in np.unravel_index(key[starts], dims))
+    places = np.concatenate([p for _, p in outs])[rows[order]]
+    q_places, vals = q_places[q[order]], vals[order]
+    return [
+        (t, i, s, places[a:b], q_places[a:b], vals[a:b])
+        for t, i, s, a, b in zip(*heads, starts.tolist(), stops.tolist())
+    ]
+
+
+def _shape_views(blocks: dict, shapes, d: int) -> dict:
+    """shape -> weight -> the shape's rows of the block of that weight, as a
+    (GZ patterns, paths, words) view, for rows in codec order (shape, GZ
+    pattern, path rank) over shapes in codec order."""
+    views, tops = {}, {}
+    for lam in shapes:
+        views[lam] = {}
+        for w, ks in _weight_classes(lam, d).items():
+            top = tops.get(w, 0)
+            tops[w] = top + len(ks) * dim_p(lam)
+            views[lam][w] = blocks[w][top : tops[w]].reshape(len(ks), dim_p(lam), -1)
+    return views
+
+
+def _cascade_step(blocks: dict, words: dict, d: int, k: int, triplets: dict) -> tuple:
+    """The weight blocks and words of S(d, k) = CG_k (S(d, k - 1) tensor I)
+    from those of S(d, k - 1), popping the triplets of each shape of size
+    k - 1 (see SchurTransform)."""
+    # the grown words of each content, those of content v followed by letter
+    # i for each i in turn, and the columns of each (content, letter) segment
+    parts, span, width = {}, {}, {}
+    for i in range(d):
+        for v, vs in words.items():
+            w = v[:i] + (v[i] + 1,) + v[i + 1 :]
+            top = width.get(w, 0)
+            width[w] = top + len(vs)
+            span[w, i] = slice(top, width[w])
+            parts.setdefault(w, []).append(vs * d + i)
+    # a block has one row per word of its content
+    grown = {w: np.zeros((m, m)) for w, m in width.items()}
+    shapes, grown_shapes = enumerate_partitions(d, k - 1), enumerate_partitions(d, k)
+    ins, outs = _shape_views(blocks, shapes, d), _shape_views(grown, grown_shapes, d)
+    filled = {}
+    for mu in shapes:
+        p, targets = dim_p(mu), []
+        for lp in add_box(mu, d):
+            # in codec order the paths of each mu follow on from those of the
+            # mu before it; by the branching rule they then tile 0..dim_p(lp)
+            top = sibling_offset(mu, lp)
+            if top != filled.get(lp, 0):
+                raise ValueError(f"paths of {lp} at d={d} are not stacked in rank order")
+            filled[lp] = top + p
+            targets += [(w, out[:, top : top + p]) for w, out in outs[lp].items()]
+        sources = list(ins[mu].items())
+        for t, i, s, r, c, x in _cg_sub_blocks(mu, d, triplets.pop(mu)):
+            (w, out), (v, a) = targets[t], sources[s]
+            if w != v[:i] + (v[i] + 1,) + v[i + 1 :]:
+                raise ValueError(f"CG block of {mu} at d={d} breaks torus weight")
+            cg = np.zeros((len(out), len(a)))
+            cg[r, c] = x
+            out[:, :, span[w, i]] = (cg @ a.reshape(len(a), -1)).reshape(len(out), p, -1)
+    return grown, {w: np.concatenate(a) for w, a in parts.items()}
 
 
 class SchurTransform:
-    """The Schur transform S(d, n), built by cascading Clebsch-Gordan blocks
-    one torus weight at a time; get one through schur(d, n).
+    """The Schur transform S(d, n), built as the cascade S(d, k) =
+    CG_k (S(d, k - 1) tensor I); get one through schur(d, n).
 
-    A CG step maps weight w tensor e_i to w + e_i.  The Young-Yamanouchi
-    paths are stacked per top shape, with their amplitudes kept per letter
-    content w as a (GZ patterns of weight w, paths, words of content w)
-    array; the words of content w are those of content w - e_i followed by
-    letter i, for each i in turn.  Each step allocates these arrays once,
-    zero-filled, and writes every CG product straight into its (paths of
-    the input shape, words ending in letter i) slice; no amplitude is
-    concatenated.  No dense CG block is formed: the coupling triplets of
-    every shape the cascade couples are built once, in one rank-by-rank
-    pass, and each step scatters those of its top shapes into the (output
-    shape, output weight, letter) sub-blocks it multiplies by.
-    Raises ValueError if a triplet couples (q, i) to a pattern of weight
-    other than weight(q) + e_i.  Each path carries its rank, grown by
-    sibling_offset at every step; the build raises unless the ranks of every
-    top shape come out as 0..dim_p - 1 in stacking order, which is the path
-    order of the codec.
+    The state after step k is S(d, k) itself, as its torus-weight blocks:
+    one 2-D array per letter content w, its rows in codec order (shape, GZ
+    pattern, path rank), so the rows of a shape form one (patterns, paths)
+    range, and its columns the words of content w, those of content
+    w - e_i followed by letter i for each i in turn.  Step k allocates each
+    block once, zero-filled, and writes each CG sub-block product with the
+    rows of a shape mu into the rows of each lam' in add_box(mu), at path
+    offset sibling_offset(mu, lam'), and the columns of its letter.  No
+    dense CG block is formed: the coupling triplets of every shape the
+    cascade couples are built once, in one rank-by-rank pass, and grouped
+    by (output shape and weight, letter, input weight) sub-block.
+    Raises ValueError unless the sibling offsets of the mu of every lam',
+    in codec order, tile 0..dim_p(lam') (the path order of the codec), and
+    if a triplet couples (q, i) to a pattern of weight other than
+    weight(q) + e_i.
 
     S is kept as its torus-weight blocks, ordered by size.  by_weight maps
     a weight (the letter counts) to the block's codec rows and computational
     columns, both ascending, and its matrix; classes holds (start, (k, m, m)
     stack) per block size, cols the columns in block order and pos[r] the
     block-order position of codec row r.  Each stack is allocated once and
-    filled from the amplitude arrays, each dropped once its rows are in
-    place.  All arrays are read-only.
+    filled by sorting the columns of the last step's blocks, each dropped
+    once it is in place.  All arrays are read-only.
     """
 
     def __init__(self, d: int, n: int):
         self.codec = codec = SchurLabelCodec(d, n)
-        # one qudit: letter i is the pattern of (1,) with weight e_i
+        # S(d, 1) = I: letter i is the pattern of (1,) with weight e_i
         words = {w: np.array([w.index(1)]) for w in _weight_classes((1,), d)}
-        # top shape -> (rank of each path, amplitudes per content)
-        tops = {(1,): (np.zeros(1, dtype=np.intp), {w: np.ones((1, 1, 1)) for w in words})}
+        blocks = {w: np.ones((1, 1)) for w in words}
         # the triplets of every shape that some step couples, each built once
-        shapes = (mu for size in range(1, n) for mu in enumerate_partitions(d, size))
-        triplets = cg_triplets(shapes, d)
-        for _ in range(1, n):
-            # grown content -> its (letter, content) segments in letter order
-            segments = {}
-            for i in range(d):
-                for w in words:
-                    segments.setdefault(w[:i] + (w[i] + 1,) + w[i + 1 :], []).append((i, w))
-            code = {w: c for c, w in enumerate(words)}
-            grown_code = {w: c for c, w in enumerate(segments)}
-            plus = np.empty((len(words), d), dtype=np.intp)
-            for w, seg in segments.items():
-                for i, v in seg:
-                    plus[code[v], i] = grown_code[w]
-            # the grown words, and the slice of each (content, letter) segment
-            # among them
-            grown_words, span = {}, {}
-            for w, seg in segments.items():
-                grown_words[w] = np.concatenate([words[v] * d + i for i, v in seg])
-                stops = accumulate(len(words[v]) for _, v in seg)
-                for (i, v), stop in zip(seg, stops):
-                    span[w, i] = slice(stop - len(words[v]), stop)
-            # the slice of the paths of mu among those of each grown shape
-            paths, at = {}, {}
-            for mu, (ranks, _) in tops.items():
-                for lp in add_box(mu, d):
-                    top = paths.get(lp, 0)
-                    at[mu, lp] = slice(top, top + len(ranks))
-                    paths[lp] = top + len(ranks)
-            # -1 is no rank, so a path left unwritten fails the rank-order check
-            grown = {
-                lp: (
-                    np.full(p, -1, dtype=np.intp),
-                    {
-                        w: np.zeros((len(ks), p, len(grown_words[w])))
-                        for w, ks in _weight_classes(lp, d).items()
-                    },
-                )
-                for lp, p in paths.items()
-            }
-            for mu, (ranks, amps) in tops.items():
-                subs = _cg_sub_blocks(mu, d, triplets.pop(mu), code, grown_code, plus)
-                q_of = _weight_classes(mu, d)
-                for t, lp in enumerate(add_box(mu, d)):
-                    new_ranks, new_amps = grown[lp]
-                    sl = at[mu, lp]
-                    new_ranks[sl] = ranks + sibling_offset(mu, lp)
-                    for w, a in new_amps.items():
-                        # segments of a content no pattern of mu has stay zero
-                        for i, v in segments[w]:
-                            if v not in q_of:
-                                continue
-                            cg = np.zeros((len(a), len(q_of[v])))
-                            key = (t * len(segments) + grown_code[w]) * d + i
-                            if key in subs:
-                                r, c, x = subs[key]
-                                cg[r, c] = x
-                            prod = cg @ amps[v].reshape(len(q_of[v]), -1)
-                            a[:, sl, span[w, i]] = prod.reshape(len(a), len(ranks), -1)
-            words, tops = grown_words, grown
-        # the finished rows per weight, ascending: shapes in codec order, then
+        coupled = (mu for size in range(1, n) for mu in enumerate_partitions(d, size))
+        triplets = cg_triplets(coupled, d)
+        for k in range(2, n + 1):
+            blocks, words = _cascade_step(blocks, words, d, k, triplets)
+        # the codec rows of each block, ascending: shapes in codec order, then
         # patterns in enumerate_gz order, then paths by rank
-        pieces = {}
+        rows_of = {}
         for lam in enumerate_partitions(d, n):
-            ranks, amps = tops.pop(lam)
-            if not np.array_equal(ranks, np.arange(dim_p(lam))):
-                raise ValueError(f"paths of {lam} at d={d} are not stacked in rank order")
-            for w, a in amps.items():
-                qs = _weight_classes(lam, d)[w][:, None]
-                r = codec.index(lam, 1, 1) + qs * len(ranks) + np.arange(len(ranks))
-                pieces.setdefault(w, []).append((r.reshape(-1), a.reshape(r.size, -1)))
+            top, p = codec.index(lam, 1, 1), dim_p(lam)
+            for w, ks in _weight_classes(lam, d).items():
+                r = top + ks[:, None] * p + np.arange(p)
+                rows_of.setdefault(w, []).append(r.reshape(-1))
         # blocks by size, ties in descending order of the letter counts, one
-        # (k, m, m) stack per size m; the amplitudes of a block are dropped
-        # once they are in place
+        # (k, m, m) stack per size m, filled by sorting each block's columns
         order = sorted(sorted(words, reverse=True), key=lambda w: len(words[w]))
         rows, classes, start = [], [], 0
         for m, group in groupby(order, key=lambda w: len(words[w])):
             group = list(group)
             stack = np.zeros((len(group), m, m))
             for block, w in zip(stack, group):
-                block_rows, block_amps = zip(*pieces.pop(w))
-                rows.append(np.concatenate(block_rows))
-                # perm is a permutation of range(m), so "clip" clips nothing
+                rows.append(np.concatenate(rows_of.pop(w)))
+                # the sort is a permutation of range(m), so "clip" clips nothing
                 # and spares the buffered copy that out= costs under "raise"
-                perm, top = np.argsort(words[w]), 0
-                for a in block_amps:
-                    a.take(perm, axis=1, out=block[top : top + len(a)], mode="clip")
-                    top += len(a)
+                blocks.pop(w).take(np.argsort(words[w]), axis=1, out=block, mode="clip")
             classes.append((start, stack))
             start += len(group) * m
         cols = [np.sort(words[w]) for w in order]
@@ -290,10 +279,11 @@ class SchurTransform:
         top = np.searchsorted(rows, self.codec.index(lam, qi, 1))
         return block[top : top + np_], cols
 
-    @cached_property
+    @property
     def dense(self) -> DenseOperator:
-        """S as a (d^n x d^n) DenseOperator, assembled from the blocks on
-        first request, each written through one flat-index scatter."""
+        """S as a new (d^n x d^n) DenseOperator, assembled from the blocks
+        on each request, each written through one flat-index scatter; the
+        caller owns it and nothing keeps it."""
         dim = len(self.codec)
         u = np.zeros((dim, dim))
         for rows, cols, block in self.by_weight.values():
@@ -383,15 +373,20 @@ def measure_schur(state, d: int, n: int, granularity: str = "lambda") -> dict:
     state = np.asarray(state, dtype=complex).reshape(-1)
     if not abs(np.linalg.norm(state) - 1.0) <= 1e-8:
         raise ValueError("state must be normalized")
-    width = {"lambda": 1, "lambda_q": 2, "full": 3}.get(granularity)
-    if width is None:
+    if granularity not in ("lambda", "lambda_q", "full"):
         raise ValueError(f"unknown granularity: {granularity}")
     t = schur(d, n)
-    table = {}
-    for label, p in zip(t.codec.triples, np.abs(t.apply(state)) ** 2):
-        key = label[0] if width == 1 else label[:width]
-        table[key] = table.get(key, 0.0) + float(p)
-    return table
+    probs = np.abs(t.apply(state)) ** 2
+    if granularity == "full":
+        return dict(zip(t.codec.triples, probs.tolist()))
+    sectors = t.codec.sectors.items()
+    if granularity == "lambda":
+        return {lam: float(probs[rows].sum()) for lam, (rows, _, _) in sectors}
+    return {
+        (lam, qi): x
+        for lam, (rows, nq, np_) in sectors
+        for qi, x in enumerate(probs[rows].reshape(nq, np_).sum(axis=1).tolist(), 1)
+    }
 
 
 def central_projector_oracle(lam, d: int, n: int) -> DenseOperator:

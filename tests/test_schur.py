@@ -14,6 +14,7 @@ from schurkit.combinatorics import (
     enumerate_gz,
     enumerate_partitions,
     gz_weight,
+    sibling_offset,
 )
 from schurkit.duality_checks import (
     rep_matrix_p,
@@ -34,7 +35,7 @@ from schurkit.schur_transform import (
     schur_unitary,
 )
 from schurkit.sn_fourier import sn_qft_from_schur
-from schurkit.wigner import cg_block
+from schurkit.wigner import cg_block, cg_output_blocks
 
 
 @pytest.mark.parametrize(
@@ -50,6 +51,40 @@ def test_schur_unitary_is_unitary(d, n):
 def test_schur_d2_n1_is_identity():
     su, _ = schur_unitary(2, 1)
     assert np.array_equal(su.matrix, np.eye(2))
+
+
+def _dense_cascade(d, n):
+    """S(d, n) as the dense product CG_n (S(d, n - 1) tensor I), from
+    S(d, 1) = I, with none of the weight-block bookkeeping of the build."""
+    s = np.eye(d)
+    for k in range(2, n + 1):
+        prev, codec = SchurLabelCodec(d, k - 1), SchurLabelCodec(d, k)
+        grown = np.kron(s, np.eye(d))
+        s = np.zeros_like(grown)
+        for mu, (rows, nq, np_) in prev.sectors.items():
+            # the rows (q', p'', i) of the mu sector, reordered to (p'', (q', i))
+            x = grown[rows.start * d : rows.stop * d].reshape(nq, np_, d, -1)
+            x = x.transpose(1, 0, 2, 3).reshape(np_, nq * d, -1)
+            y = cg_block(mu, d).matrix @ x
+            for lp, sl in cg_output_blocks(mu, d):
+                for g in range(sl.stop - sl.start):
+                    top = codec.index(lp, g + 1, sibling_offset(mu, lp) + 1)
+                    s[top : top + np_] = y[:, sl.start + g]
+    return s
+
+
+@pytest.mark.parametrize(
+    "d,n", [(2, 6), (3, 4), (4, 3), (2, 8), (3, 5), (5, 3), (10, 2), (1, 3), (3, 1)]
+)
+def test_cascade_matches_a_dense_reference(d, n):
+    assert np.abs(schur(d, n).dense.matrix - _dense_cascade(d, n)).max() <= 1e-14
+
+
+def test_schur_unitary_hands_out_a_fresh_matrix():
+    su, _ = schur_unitary(2, 3)
+    expected = su.matrix.copy()
+    su.matrix[0, 0] = 5.0
+    assert np.array_equal(schur_unitary(2, 3)[0].matrix, expected)
 
 
 def test_codec_is_a_bijection_with_contiguous_blocks():
@@ -95,9 +130,14 @@ def test_measure_schur_granularities(rng):
     state = random_state(rng, d**n)
     full = measure_schur(state, d, n, granularity="full")
     by_lam = measure_schur(state, d, n, granularity="lambda")
+    by_q = measure_schur(state, d, n, granularity="lambda_q")
     for lam, p in by_lam.items():
         partial = sum(v for (l, _, _), v in full.items() if l == lam)
         assert abs(p - partial) < 1e-12
+    for (lam, qi), p in by_q.items():
+        partial = sum(v for (l, q, _), v in full.items() if (l, q) == (lam, qi))
+        assert abs(p - partial) < 1e-12
+    assert set(by_q) == {label[:2] for label in full}
     with pytest.raises(ValueError):
         measure_schur(state, d, n, granularity="bogus")
 
