@@ -16,13 +16,18 @@ Conventions used throughout the package:
   p_j obtained from p_{j+1} by removing one box (a standard tableau).
 
 Everything here is pure and uses unbounded Python integers, so all dimension
-formulas and index codecs are exact.
+formulas and index codecs are exact.  schur_polys gathers with numpy, but
+holds any non-float input in object arrays, so it is exact on Fractions and
+ints as well.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, pairwise
 from math import factorial
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +328,17 @@ def schur_poly(lam, r):
 
 
 def schur_polys(lams, r) -> dict:
-    """lam -> schur_poly(lam, r) for each lam in lams (canonical keys), by
-    the branching recursion over interlacing partitions: no pattern list is
-    materialized, and the memo is shared by all of lams.
+    """lam -> schur_poly(lam, r) for each lam in lams (canonical keys, in
+    first-seen order), by the branching rule
+
+        s_lam(r_1..r_k) = sum over mu interlacing lam of
+                          s_mu(r_1..r_{k-1}) * r_k ** (|lam| - |mu|),
+
+    read from the cached _branching_plan of the shapes: per variable, one
+    gather of the level below times the powers, then one left-to-right sum
+    per shape over its interlacing mu.  Floats are therefore the same bits
+    as the plain recursion gives; any non-float r (Fraction, int) is carried
+    in an object array, so those results stay exact and ints never overflow.
     """
     r = tuple(r)
     if any(x < 0 for x in r):
@@ -335,20 +348,40 @@ def schur_polys(lams, r) -> dict:
     for lam in lams:
         if len(lam) > d:
             raise ValueError(f"partition {lam} has more than {d} rows")
-    memo = {}
+    shapes = tuple(dict.fromkeys(lams))
+    sizes, steps = _branching_plan(shapes, d)
+    dtype = float if all(isinstance(x, float) for x in r) else object
+    vals = [r[0] ** m for m in sizes]
+    for x, (idx, exps, top, bounds) in zip(r[1:], steps):
+        pw = np.array([x**e for e in range(top)], dtype=dtype)
+        terms = (np.array(vals, dtype=dtype)[idx] * pw[exps]).tolist()
+        vals = [sum(terms[a:b]) for a, b in pairwise(bounds)]
+    return dict(zip(shapes, vals))
 
-    def rec(shape, depth):
-        if depth == 1:
-            return r[0] ** size(shape)
-        key = (shape, depth)
-        if key not in memo:
-            memo[key] = sum(
-                rec(mu, depth - 1) * r[depth - 1] ** (size(shape) - size(mu))
-                for mu in interlacing_partitions(shape, depth - 1)
-            )
-        return memo[key]
 
-    return {lam: rec(lam, d) for lam in lams}
+@lru_cache(maxsize=None)
+def _branching_plan(shapes: tuple, d: int) -> tuple:
+    """The branching structure schur_polys evaluates, from the bottom up:
+    the sizes of the one-row shapes reached at depth 1, then for each depth
+    k = 2..d the index of every interlacing mu (interlacing_partitions
+    order) among the shapes of depth k - 1, its exponent |lam| - |mu|, one
+    more than the largest exponent, and the bounds of each shape's run."""
+    level, steps = list(shapes), []
+    for k in range(d, 1, -1):
+        below, runs = {}, []
+        for lam in level:
+            runs.append(interlacing_partitions(lam, k - 1))
+            for mu in runs[-1]:
+                below.setdefault(mu, len(below))
+        exps = [size(lam) - size(mu) for lam, run in zip(level, runs) for mu in run]
+        idx = np.array([below[mu] for run in runs for mu in run], dtype=np.intp)
+        top = max(exps, default=0) + 1
+        exps = np.array(exps, dtype=np.intp)
+        idx.flags.writeable = exps.flags.writeable = False
+        bounds = tuple(accumulate(map(len, runs), initial=0))
+        steps.append((idx, exps, top, bounds))
+        level = list(below)
+    return tuple(size(mu) for mu in level), tuple(reversed(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ typical projector masses, spectrum estimation by sector sampling,
 entanglement concentration, and universal compression rates.
 
 All entropies and divergences are base 2.  Large-n quantities are evaluated
-in floating point through Schur polynomials (schur_poly itself is exact on
-Fractions), so no d^n-dimensional object is ever needed on that path;
+in floating point through Schur polynomials (schur_poly and schur_polys are
+themselves exact on Fractions and ints), so no d^n-dimensional object is
+ever needed on that path;
 small-n dense cross-checks live in duality_checks.rho_blocks.
 """
 
@@ -188,9 +189,13 @@ def trace_bound_check(lam, r, n: int, d: int = None) -> TraceBoundRecord:
     r = _sorted_spectrum(r)
     if d is None:
         d = len(r)
+    if len(r) > d:
+        raise ValueError(f"r has more than d = {d} entries")
     lam = normalize(lam)
     if sum(lam) != n:
         raise ValueError("lam must partition n")
+    if len(lam) > d:
+        raise ValueError(f"partition {lam} has more than {d} rows")
     value = dim_p(lam) * float(schur_poly(lam, r + (0.0,) * (d - len(r))))
     dv = kl_divergence(normalized_shape(lam, n, d), r + (0.0,) * (d - len(r)))
     poly = (n + d) ** (d * (d + 1) / 2)

@@ -22,6 +22,7 @@ from .combinatorics import (
     enumerate_gz,
     enumerate_partitions,
     gz_weight,
+    interlacing_partitions,
     normalize,
     partition_str,
     sibling_offset,
@@ -91,12 +92,26 @@ class SchurLabelCodec:
 
 
 @lru_cache(maxsize=None)
+def _gz_weights(lam, d: int) -> tuple:
+    """The gz_weight of each GZ pattern of lam, in enumerate_gz order, by the
+    same recursion: the weight of sub + (lam,) is weight(sub) + (|lam| - |mu|,)
+    for sub a pattern of mu."""
+    if d == 1:
+        return ((sum(lam),),)
+    out = []
+    for mu in interlacing_partitions(lam, d - 1):
+        last = (sum(lam) - sum(mu),)
+        out.extend(w + last for w in _gz_weights(mu, d - 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _weight_classes(lam, d: int) -> dict:
     """GZ weight -> indices of the patterns of lam with that weight, in
     enumerate_gz order."""
     out = {}
-    for k, pattern in enumerate(enumerate_gz(lam, d)):
-        out.setdefault(gz_weight(pattern), []).append(k)
+    for k, w in enumerate(_gz_weights(lam, d)):
+        out.setdefault(w, []).append(k)
     return {w: np.array(ks) for w, ks in out.items()}
 
 

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurkit.combinatorics import (
+    _branching_plan,
     add_box,
     dim_p,
     dim_q,
@@ -14,6 +16,7 @@ from schurkit.combinatorics import (
     enumerate_yy,
     gz_weight,
     interlaces,
+    interlacing_partitions,
     is_partition,
     kostka,
     multinomial,
@@ -144,6 +147,83 @@ def test_schur_poly_normalization():
 def test_schur_poly_at_all_ones_is_dim_q():
     for lam in enumerate_partitions(3, 4):
         assert schur_poly(lam, (1, 1, 1)) == dim_q(lam, 3)
+
+
+def _recursive_schur_polys(lams, r):
+    """The branching recursion written out plainly, one memoized call per
+    (shape, depth): the reference for the bits schur_polys must give."""
+    memo = {}
+
+    def rec(shape, depth):
+        if depth == 1:
+            return r[0] ** sum(shape)
+        if (shape, depth) not in memo:
+            memo[shape, depth] = sum(
+                rec(mu, depth - 1) * r[depth - 1] ** (sum(shape) - sum(mu))
+                for mu in interlacing_partitions(shape, depth - 1)
+            )
+        return memo[shape, depth]
+
+    return {normalize(lam): rec(normalize(lam), len(r)) for lam in lams}
+
+
+@pytest.mark.parametrize("d,n", [(1, 5), (2, 40), (3, 30), (4, 12), (5, 7), (6, 6)])
+def test_schur_polys_floats_match_the_recursion_bit_for_bit(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    lams = enumerate_partitions(d, n)
+    spectra = []
+    for _ in range(2):
+        r = sorted(rng.random(d).tolist(), reverse=True)
+        spectra.append(tuple(x / sum(r) for x in r))
+    with_zero = spectra[0][:-1] + (0.0,)
+    with_tie = (spectra[1][0],) + spectra[1][:-1]
+    for r in spectra + [with_zero, with_tie]:
+        got, want = schur_polys(lams, r), _recursive_schur_polys(lams, r)
+        assert list(got) == list(want)
+        for lam in lams:
+            assert type(got[lam]) is float and got[lam] == want[lam], (r, lam)
+
+
+@pytest.mark.parametrize("d,n", [(3, 8), (4, 6)])
+def test_schur_polys_fractions_are_the_kostka_sums(d, n):
+    r = tuple(Fraction(k, 7 * d) for k in range(1, d + 1))
+    lams = enumerate_partitions(d, n)
+    got = schur_polys(lams, r)
+    for lam in lams:
+        want = sum(
+            kostka(lam, w) * math.prod(x**e for x, e in zip(r, w))
+            for w in weights_of_size(d, n)
+        )
+        assert type(got[lam]) is Fraction and got[lam] == want
+
+
+def test_schur_polys_edge_cases():
+    assert schur_polys([], (0.5, 0.5)) == {}
+    assert schur_polys([], (Fraction(1, 2),) * 3) == {}
+    # padded and repeated shapes give canonical keys in first-seen order
+    r = (0.5, 0.3, 0.2)
+    got = schur_polys([(2, 1, 0), (3,), (2, 1), (3, 0, 0)], r)
+    assert list(got) == [(2, 1), (3,)]
+    assert got == _recursive_schur_polys([(2, 1), (3,)], r)
+    # ints stay Python ints, beyond what int64 holds
+    lams = enumerate_partitions(2, 40)
+    got = schur_polys(lams, (3, 2))
+    assert got == _recursive_schur_polys(lams, (3, 2))
+    assert all(type(s) is int for s in got.values()) and got[(40,)] > 2**63
+
+
+@pytest.mark.parametrize(
+    "lams,r,message",
+    [
+        ([(2, 1)], (0.5, -0.1, 0.6), "nonnegative"),
+        ([(1, 1, 1)], (0.5, 0.5), "more than 2 rows"),
+    ],
+)
+def test_schur_polys_checks_inputs_before_building_a_plan(lams, r, message):
+    before = _branching_plan.cache_info()
+    with pytest.raises(ValueError, match=message):
+        schur_polys(lams, r)
+    assert _branching_plan.cache_info() == before
 
 
 @given(partitions)

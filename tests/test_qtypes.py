@@ -67,6 +67,18 @@ def test_trace_bound_sandwich_qubit():
             assert trace_bound_check(lam, r, n).bounds_hold
 
 
+def test_trace_bound_check_rejects_a_d_it_cannot_honour():
+    # three variables do not fit in d = 2, nor does a shape of three rows
+    with pytest.raises(ValueError, match="more than d = 2 entries"):
+        trace_bound_check((2, 1), (0.5, 0.3, 0.2), 3, d=2)
+    with pytest.raises(ValueError, match=r"\(1, 1, 1\) has more than 2 rows"):
+        trace_bound_check((1, 1, 1), (0.5, 0.5), 3, d=2)
+    # a d above len(r) pads r with zeros: that sector is then empty
+    padded = trace_bound_check((1, 1, 1), (0.5, 0.5), 3, d=3)
+    assert padded.value == 0.0 and padded.divergence == math.inf
+    assert trace_bound_check((2, 1), (0.5, 0.5), 3, d=3).value == pytest.approx(0.5)
+
+
 def test_typical_mass_bound_and_flag():
     for n in (10, 20, 40):
         record = typical_mass((0.8, 0.2), n, 0.2)

@@ -87,6 +87,16 @@ def test_schur_unitary_hands_out_a_fresh_matrix():
     assert np.array_equal(schur_unitary(2, 3)[0].matrix, expected)
 
 
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 5), (3, 4), (4, 3), (10, 2), (32, 1)])
+def test_weight_classes_group_the_patterns_by_gz_weight(d, n):
+    for lam in enumerate_partitions(d, n):
+        weights = [gz_weight(g) for g in enumerate_gz(lam, d)]
+        classes = schur_transform._weight_classes(lam, d)
+        assert list(classes) == list(dict.fromkeys(weights))
+        for w, ks in classes.items():
+            assert ks.tolist() == [k for k, v in enumerate(weights) if v == w]
+
+
 def test_codec_is_a_bijection_with_contiguous_blocks():
     d, n = 3, 4
     codec = SchurLabelCodec(d, n)
