@@ -349,6 +349,8 @@ def schur_polys(lams, r) -> dict:
         if len(lam) > d:
             raise ValueError(f"partition {lam} has more than {d} rows")
     shapes = tuple(dict.fromkeys(lams))
+    if not r:  # only the empty shape has no rows, and s_() of no variables is 1
+        return dict.fromkeys(shapes, 1)
     sizes, steps = _branching_plan(shapes, d)
     dtype = float if all(isinstance(x, float) for x in r) else object
     vals = [r[0] ** m for m in sizes]

@@ -9,8 +9,9 @@ schur_unitary assembles the dense matrix.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 import numpy as np
 
@@ -157,10 +158,12 @@ def _cg_sub_blocks(mu, d: int, triplets):
     ]
 
 
-def _shape_views(blocks: dict, shapes, d: int) -> dict:
+def _shape_views(stacks: list, weights, shapes, d: int) -> dict:
     """shape -> weight -> the shape's rows of the block of that weight, as a
-    (GZ patterns, paths, words) view, for rows in codec order (shape, GZ
+    (GZ patterns, paths, words) view, for blocks of the given weights in
+    that order along the stacks, with rows in codec order (shape, GZ
     pattern, path rank) over shapes in codec order."""
+    blocks = dict(zip(weights, (block for stack in stacks for block in stack)))
     views, tops = {}, {}
     for lam in shapes:
         views[lam] = {}
@@ -171,10 +174,10 @@ def _shape_views(blocks: dict, shapes, d: int) -> dict:
     return views
 
 
-def _cascade_step(blocks: dict, words: dict, d: int, k: int, triplets: dict) -> tuple:
-    """The weight blocks and words of S(d, k) = CG_k (S(d, k - 1) tensor I)
-    from those of S(d, k - 1), popping the triplets of each shape of size
-    k - 1 (see SchurTransform)."""
+def _cascade_step(stacks: list, words: dict, d: int, k: int, triplets: dict) -> tuple:
+    """The weight-block stacks and words of S(d, k) = CG_k (S(d, k - 1)
+    tensor I) from those of S(d, k - 1), popping the triplets of each shape
+    of size k - 1 (see SchurTransform)."""
     # the grown words of each content, those of content v followed by letter
     # i for each i in turn, and the columns of each (content, letter) segment
     parts, span, width = {}, {}, {}
@@ -185,10 +188,13 @@ def _cascade_step(blocks: dict, words: dict, d: int, k: int, triplets: dict) -> 
             width[w] = top + len(vs)
             span[w, i] = slice(top, width[w])
             parts.setdefault(w, []).append(vs * d + i)
-    # a block has one row per word of its content
-    grown = {w: np.zeros((m, m)) for w, m in width.items()}
+    # a block has one row per word of its content; blocks by size, ties in
+    # descending order of the letter counts, one (count, m, m) stack per size m
+    order = sorted(sorted(width, reverse=True), key=width.get)
+    grown = [np.zeros((c, m, m)) for m, c in Counter(map(width.get, order)).items()]
     shapes, grown_shapes = enumerate_partitions(d, k - 1), enumerate_partitions(d, k)
-    ins, outs = _shape_views(blocks, shapes, d), _shape_views(grown, grown_shapes, d)
+    ins = _shape_views(stacks, words, shapes, d)
+    outs = _shape_views(grown, order, grown_shapes, d)
     filled = {}
     for mu in shapes:
         p, targets = dim_p(mu), []
@@ -208,7 +214,7 @@ def _cascade_step(blocks: dict, words: dict, d: int, k: int, triplets: dict) -> 
             cg = np.zeros((len(out), len(a)))
             cg[r, c] = x
             out[:, :, span[w, i]] = (cg @ a.reshape(len(a), -1)).reshape(len(out), p, -1)
-    return grown, {w: np.concatenate(a) for w, a in parts.items()}
+    return grown, {w: np.concatenate(parts[w]) for w in order}
 
 
 class SchurTransform:
@@ -216,40 +222,41 @@ class SchurTransform:
     CG_k (S(d, k - 1) tensor I); get one through schur(d, n).
 
     The state after step k is S(d, k) itself, as its torus-weight blocks:
-    one 2-D array per letter content w, its rows in codec order (shape, GZ
-    pattern, path rank), so the rows of a shape form one (patterns, paths)
-    range, and its columns the words of content w, those of content
-    w - e_i followed by letter i for each i in turn.  Step k allocates each
-    block once, zero-filled, and writes each CG sub-block product with the
-    rows of a shape mu into the rows of each lam' in add_box(mu), at path
-    offset sibling_offset(mu, lam'), and the columns of its letter.  No
-    dense CG block is formed: the coupling triplets of every shape the
-    cascade couples are built once, in one rank-by-rank pass, and grouped
-    by (output shape and weight, letter, input weight) sub-block.
+    one per letter content w, its rows in codec order (shape, GZ pattern,
+    path rank), so the rows of a shape form one (patterns, paths) range,
+    and its columns the words of content w, those of content w - e_i
+    followed by letter i for each i in turn.  Step k allocates one
+    zero-filled (count, m, m) stack per block size m, the blocks in order
+    of size, ties in descending order of the letter counts, and writes
+    each CG sub-block product with the rows of a shape mu into the rows of
+    each lam' in add_box(mu), at path offset sibling_offset(mu, lam'), and
+    the columns of its letter.  No dense CG block is formed: the coupling
+    triplets of every shape the cascade couples are built once, in one
+    rank-by-rank pass, and grouped by (output shape and weight, letter,
+    input weight) sub-block.
     Raises ValueError unless the sibling offsets of the mu of every lam',
     in codec order, tile 0..dim_p(lam') (the path order of the codec), and
     if a triplet couples (q, i) to a pattern of weight other than
     weight(q) + e_i.
 
-    S is kept as its torus-weight blocks, ordered by size.  by_weight maps
-    a weight (the letter counts) to the block's codec rows and computational
-    columns, both ascending, and its matrix; classes holds (start, (k, m, m)
-    stack) per block size, cols the columns in block order and pos[r] the
-    block-order position of codec row r.  Each stack is allocated once and
-    filled by sorting the columns of the last step's blocks, each dropped
-    once it is in place.  All arrays are read-only.
+    S is kept in the last step's stacks.  by_weight maps a weight (the
+    letter counts) to the block's codec rows (ascending), its computational
+    columns (cascade order) and its matrix, a view into its stack; stacks
+    holds the stacks by size, cols the columns in block order and pos[r]
+    the block-order position of codec row r.  All arrays are read-only.
     """
 
     def __init__(self, d: int, n: int):
         self.codec = codec = SchurLabelCodec(d, n)
-        # S(d, 1) = I: letter i is the pattern of (1,) with weight e_i
-        words = {w: np.array([w.index(1)]) for w in _weight_classes((1,), d)}
-        blocks = {w: np.ones((1, 1)) for w in words}
+        # S(d, 1) = I: letter i is the pattern of (1,) with weight e_i; the
+        # e_i, in descending order, are the blocks of one (d, 1, 1) stack
+        seed = sorted(_weight_classes((1,), d), reverse=True)
+        words, stacks = {w: np.array([w.index(1)]) for w in seed}, [np.ones((d, 1, 1))]
         # the triplets of every shape that some step couples, each built once
         coupled = (mu for size in range(1, n) for mu in enumerate_partitions(d, size))
         triplets = cg_triplets(coupled, d)
         for k in range(2, n + 1):
-            blocks, words = _cascade_step(blocks, words, d, k, triplets)
+            stacks, words = _cascade_step(stacks, words, d, k, triplets)
         # the codec rows of each block, ascending: shapes in codec order, then
         # patterns in enumerate_gz order, then paths by rank
         rows_of = {}
@@ -258,32 +265,19 @@ class SchurTransform:
             for w, ks in _weight_classes(lam, d).items():
                 r = top + ks[:, None] * p + np.arange(p)
                 rows_of.setdefault(w, []).append(r.reshape(-1))
-        # blocks by size, ties in descending order of the letter counts, one
-        # (k, m, m) stack per size m, filled by sorting each block's columns
-        order = sorted(sorted(words, reverse=True), key=lambda w: len(words[w]))
-        rows, classes, start = [], [], 0
-        for m, group in groupby(order, key=lambda w: len(words[w])):
-            group = list(group)
-            stack = np.zeros((len(group), m, m))
-            for block, w in zip(stack, group):
-                rows.append(np.concatenate(rows_of.pop(w)))
-                # the sort is a permutation of range(m), so "clip" clips nothing
-                # and spares the buffered copy that out= costs under "raise"
-                blocks.pop(w).take(np.argsort(words[w]), axis=1, out=block, mode="clip")
-            classes.append((start, stack))
-            start += len(group) * m
-        cols = [np.sort(words[w]) for w in order]
-        views = [block for _, stack in classes for block in stack]
-        for a in rows + cols + [stack for _, stack in classes]:
+        rows = [np.concatenate(rows_of[w]) for w in words]
+        cols = list(words.values())
+        views = [block for stack in stacks for block in stack]
+        for a in rows + cols + stacks + views:
             a.flags.writeable = False
-        self.by_weight = dict(zip(order, zip(rows, cols, views)))
+        self.by_weight = dict(zip(words, zip(rows, cols, views)))
         # the gathers in conjugate skip bounds checks: prove them here
         # (pos is a permutation exactly when the rows are)
         all_rows, all_cols = np.concatenate(rows), np.concatenate(cols)
         for what, perm in (("rows", all_rows), ("columns", all_cols)):
             if not np.array_equal(np.sort(perm), np.arange(d**n)):
                 raise ValueError(f"weight blocks of S({d}, {n}) miss or repeat {what}")
-        self.classes, self.cols, self.pos = classes, all_cols, np.argsort(all_rows)
+        self.stacks, self.cols, self.pos = stacks, all_cols, np.argsort(all_rows)
 
     def sector_rows(self, lam, qi: int) -> tuple:
         """The dim_p rows (lam, qi, 1..dim_p) of S, consecutive rows of the
@@ -312,7 +306,8 @@ class SchurTransform:
         y = np.ascontiguousarray(y)
         out = np.empty_like(y) if out is None else out
         flat, flat_out = (a.view(np.float64).reshape(len(y), -1) for a in (y, out))
-        for start, blocks in self.classes:
+        start = 0
+        for blocks in self.stacks:
             k, m, _ = blocks.shape
             stop = start + k * m
             np.matmul(
@@ -320,6 +315,7 @@ class SchurTransform:
                 flat[start:stop].reshape(k, m, -1),
                 out=flat_out[start:stop].reshape(k, m, -1),
             )
+            start = stop
         return out
 
     def apply(self, x) -> np.ndarray:

@@ -50,16 +50,16 @@ def sn_qft_from_schur(n: int):
     """
     t = schur(n, n)
     # the rows of the weight (1, ..., 1) block are in codec order and its
-    # columns, the words with distinct letters in increasing index order,
-    # in all_permutations order
-    rows, _, block = t.by_weight[(1,) * n]
+    # columns, the words with distinct letters, in cascade order; sorted by
+    # index, those words are in all_permutations order
+    rows, cols, block = t.by_weight[(1,) * n]
     layout = FourierBlockLayout(n=n)
     start = 0
     for lam in enumerate_partitions(n, n):
         layout.blocks.append((lam, slice(start, start + dim_p(lam) ** 2)))
         start += dim_p(lam) ** 2
     op = DenseOperator(
-        block.copy(),
+        block[:, np.argsort(cols)],
         row_labels=[t.codec.label(r) for r in rows],
         col_labels=list(all_permutations(n)),
     )

@@ -212,6 +212,15 @@ def test_schur_polys_edge_cases():
     assert all(type(s) is int for s in got.values()) and got[(40,)] > 2**63
 
 
+def test_schur_polys_of_no_variables():
+    # s_() of no variables is the empty product; any other shape has a row
+    assert schur_polys([()], ()) == {(): 1}
+    assert schur_polys([(), (0, 0)], ()) == {(): 1}
+    assert schur_poly((), ()) == 1
+    with pytest.raises(ValueError, match="more than 0 rows"):
+        schur_polys([(1,)], ())
+
+
 @pytest.mark.parametrize(
     "lams,r,message",
     [

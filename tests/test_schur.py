@@ -363,16 +363,31 @@ def test_measure_schur_peak_memory_on_warm_transform(rng):
     assert peak < 2 * 2**20
 
 
-def test_build_peak_stays_within_three_times_the_kept_blocks():
-    SchurTransform(2, 10)  # warm the shared pattern and coefficient caches
+@pytest.mark.parametrize("d,n", [(2, 10), (3, 7), (4, 6)])
+def test_build_peak_stays_within_1_45_times_the_kept_blocks(d, n):
+    SchurTransform(d, n)  # warm the shared pattern and coefficient caches
     tracemalloc.start()
     try:
-        built = SchurTransform(2, 10)
+        built = SchurTransform(d, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(stack.nbytes for _, stack in built.classes)
-    assert peak <= 3 * kept, f"peak {peak} B is {peak / kept:.2f}x the {kept} B kept"
+    kept = sum(stack.nbytes for stack in built.stacks)
+    assert peak <= 1.45 * kept, f"peak {peak} B is {peak / kept:.2f}x the {kept} B kept"
+
+
+def test_weight_blocks_are_read_only():
+    t = schur(2, 4)
+    before = t.dense.matrix
+    block, cols = t.sector_rows((3, 1), 1)
+    for a in (block, cols):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    for arrays in t.by_weight.values():
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.reshape(-1)[0] = 1
+    assert t.dense.matrix.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3), (32, 2), (1, 3), (3, 1)])
