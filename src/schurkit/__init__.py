@@ -42,6 +42,7 @@ from .qtypes import (
     sector_distribution,
     spectrum_estimate,
     trace_bound_check,
+    trace_bound_checks,
     typical_mass,
 )
 from .schur_transform import (
@@ -112,6 +113,7 @@ __all__ = [
     "spectral_weights",
     "spectrum_estimate",
     "trace_bound_check",
+    "trace_bound_checks",
     "typical_mass",
     "verify_block_diagonal",
     "verify_fourier",

@@ -30,12 +30,13 @@ from .combinatorics import (
     weights_of_size,
 )
 from .duality_checks import verify_block_diagonal
+from .operators import require_dense
 from .qtypes import (
     compress_rate,
     sector_distribution,
     spectrum_estimate,
     concentrate,
-    trace_bound_check,
+    trace_bound_checks,
     typical_mass,
 )
 from .schur_transform import schur_unitary
@@ -50,6 +51,17 @@ EXIT_USAGE = 64
 
 class _UsageError(Exception):
     pass
+
+
+def _positive_float(text: str) -> float:
+    """The argparse type of every float flag: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -258,12 +270,14 @@ def _cmd_dims(args):
 
 
 def _cmd_kostka(args):
-    weights = weights_of_size(args.d, args.n)
     lams = (
         [parse_partition(args.lam)]
         if args.lam
         else enumerate_partitions(args.d, args.n)
     )
+    # one column per weight: C(n + d - 1, d - 1) of them
+    require_dense(len(lams), math.comb(args.n + args.d - 1, args.d - 1))
+    weights = weights_of_size(args.d, args.n)
     rows = [
         [partition_str(lam)] + [kostka(lam, mu) for mu in weights] for lam in lams
     ]
@@ -392,11 +406,10 @@ def _cmd_typebounds(args):
     r = _parse_probs(args.r)
     rows = []
     ok = True
-    for lam in enumerate_partitions(len(r), args.n):
-        rec = trace_bound_check(lam, r, args.n)
+    for rec in trace_bound_checks(r, args.n):
         ok = ok and rec.bounds_hold
         rows.append(
-            [partition_str(lam), rec.value, rec.lower, rec.upper, rec.bounds_hold]
+            [partition_str(rec.lam), rec.value, rec.lower, rec.upper, rec.bounds_hold]
         )
     mass = typical_mass(r, args.n, args.delta)
     ok = ok and mass.bound_holds
@@ -523,7 +536,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="write output to a file atomically")
         return p
 
-    tol = ("tol", (float, 1e-10, "numerical tolerance"))
+    tol = ("tol", (_positive_float, 1e-10, "numerical tolerance"))
     add("dims", _cmd_dims, "sector dimension table", d=True, n=True)
     add("kostka", _cmd_kostka, "Kostka numbers by weight", d=True, n=True, lam=True)
     add("schur", _cmd_schur, "the Schur transform matrix", d=True, n=True)
@@ -562,7 +575,7 @@ def _build_parser() -> _Parser:
         "universal compression at a fixed rate",
         n=True,
         r=True,
-        rate=(float, 1.0, "qubits per symbol"),
+        rate=(_positive_float, 1.0, "qubits per symbol"),
     )
     add(
         "typebounds",
@@ -570,7 +583,7 @@ def _build_parser() -> _Parser:
         "sector-mass sandwich and typicality bounds",
         n=True,
         r=True,
-        delta=(float, 0.1, "typicality radius"),
+        delta=(_positive_float, 0.1, "typicality radius"),
     )
     add("qft", _cmd_qft, "symmetric-group Fourier transform", n=True, **dict([tol]))
     add(

@@ -24,7 +24,7 @@ ints as well.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, pairwise
+from itertools import accumulate, combinations, pairwise, product
 from math import factorial
 
 import numpy as np
@@ -107,16 +107,9 @@ def interlacing_partitions(lam, rows: int) -> list:
     """All mu with at most ``rows`` rows interlacing lam, descending
     lexicographic.  ``rows`` is normally (number of rows of lam's context)-1."""
     lam = pad(lam, rows + 1)
-
-    def gen(i):
-        if i == rows or lam[i] == 0:  # below an empty row of lam, mu is 0
-            yield ()
-            return
-        for v in range(lam[i], lam[i + 1] - 1, -1):
-            for rest in gen(i + 1):
-                yield (v,) + rest
-
-    return [normalize(mu) for mu in gen(0)]
+    # below an empty row of lam, mu is 0; above it mu_i runs lam_i..lam_(i+1)
+    ranges = [range(lam[i], lam[i + 1] - 1, -1) for i in range(rows) if lam[i]]
+    return [normalize(mu) for mu in product(*ranges)]
 
 
 def add_box(lam, d: int) -> list:
@@ -207,6 +200,41 @@ def multinomial(n: int, weight) -> int:
 # GZ patterns and YY paths
 
 
+def _gz_table(lam, d: int, leaf, tail) -> tuple:
+    """(leaf(q_1), tail(q_2, q_1), ..., tail(q_d, q_(d-1))) for each GZ
+    pattern (q_1, ..., q_d) of lam at rank d, in enumerate_gz order: a
+    depth-first walk from q_d = lam down the interlacing shapes, so that
+    nothing recurses however large d is."""
+    edges = {}  # (mu, k) -> (nu, tail(mu, nu)) for nu interlacing mu at rank k
+
+    def below(mu, k):
+        if (mu, k) not in edges:
+            edges[mu, k] = [(nu, tail(mu, nu)) for nu in interlacing_partitions(mu, k - 1)]
+        return iter(edges[mu, k])
+
+    if d == 1:
+        return ((leaf(lam),),)
+    out, tails, stack = [], [], [below(lam, d)]
+    # stack[i] walks the edges below the shape at rank d - i; tails[i] is
+    # the tail of the edge it took
+    while stack:
+        mu, t = next(stack[-1], (None, None))
+        if mu is None:
+            stack.pop()
+            if tails:
+                tails.pop()
+            continue
+        tails.append(t)
+        k = d - len(tails)  # the rank of mu
+        if k == 1 or not mu:
+            # below an empty shape every shape is empty, down to rank 1
+            out.append((leaf(mu),) + (tail(mu, mu),) * (k - 1) + tuple(reversed(tails)))
+            tails.pop()
+        else:
+            stack.append(below(mu, k))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def enumerate_gz(lam, d: int) -> tuple:
     """All GZ patterns of shape lam at rank d, as chains (q_1, ..., q_d).
@@ -217,13 +245,15 @@ def enumerate_gz(lam, d: int) -> tuple:
     lam = normalize(lam)
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than {d} rows")
-    if d == 1:
-        return ((lam,),)
-    out = []
-    for mu in interlacing_partitions(lam, d - 1):
-        for sub in enumerate_gz(mu, d - 1):
-            out.append(sub + (lam,))
-    return tuple(out)
+    return _gz_table(lam, d, lambda mu: mu, lambda top, mu: top)
+
+
+@lru_cache(maxsize=None)
+def _gz_weights(lam, d: int) -> tuple:
+    """The gz_weight of each GZ pattern of lam, in enumerate_gz order, by the
+    same rule: the weight of sub + (lam,) is weight(sub) + (|lam| - |mu|,)
+    for sub a pattern of mu; lam is canonical with at most d rows."""
+    return _gz_table(lam, d, size, lambda top, mu: size(top) - size(mu))
 
 
 def gz_weight(pattern) -> tuple:
@@ -293,17 +323,17 @@ def yy_unindex(lam, k: int):
 
 
 def weights_of_size(d: int, n: int) -> list:
-    """All length-d tuples of nonnegative integers summing to n."""
-
-    def gen(remaining, rows):
-        if rows == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining, -1, -1):
-            for rest in gen(remaining - first, rows - 1):
-                yield (first,) + rest
-
-    return list(gen(n, d))
+    """All length-d tuples of nonnegative integers summing to n, descending
+    lexicographic: the gaps between d - 1 bars among n + d - 1 slots, whose
+    ascending lexicographic order combinations gives in reverse."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    slots = n + d - 1
+    out = [
+        tuple(b - a - 1 for a, b in pairwise((-1, *bars, slots)))
+        for bars in combinations(range(slots), d - 1)
+    ]
+    return out[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -317,7 +347,7 @@ def kostka(lam, mu) -> int:
     d = len(mu)
     if len(lam) > d:
         return 0
-    return sum(1 for pat in enumerate_gz(lam, d) if gz_weight(pat) == mu)
+    return _gz_weights(lam, d).count(mu)
 
 
 def schur_poly(lam, r):

@@ -19,6 +19,7 @@ from .characters import young_orthogonal
 from .combinatorics import normalize
 from .operators import (
     DenseOperator,
+    _image_indices,
     collective_unitary,
     permute_columns_like,
     right_multiply_collective,
@@ -104,21 +105,39 @@ def verify_block_diagonal(u, s, d: int, n: int, tol: float = 1e-10) -> IrrepBloc
     u = _require_unitary(u, d, tol=max(tol, 1e-8))
     s = check_permutation(s, n)
     t = schur(d, n)
-    w = t.conjugate(permute_columns_like(collective_unitary(u, n), s, d))
-    report = IrrepBlockReport(d=d, n=n, leakage=0.0)
-    absw = np.abs(w)
+    # u^{tensor n} P(s) = kron(u^{tensor n//2}, u^{tensor n - n//2})[:, dest]
+    w = t.conjugate(_collective_factors(u, n), perm=_image_indices(s, d))
+    # w is the transpose of a C-ordered array: read each block through w.T
+    wt = w.T
+    report = IrrepBlockReport(d=d, n=n, leakage=_off_block_max(wt, t.codec.sectors))
     for lam, (sl, nq, np_) in t.codec.sectors.items():
-        absw[sl, sl] = 0.0
-        block = w[sl, sl]
         p_mat = young_orthogonal(lam, s)
-        # best collective factor by contracting the known permutation factor
-        b4 = block.reshape(nq, np_, nq, np_)
-        q_hat = np.einsum("apbq,pq->ab", b4, p_mat) / np_
-        residual = np.abs(block - np.kron(q_hat, p_mat)).max()
-        report.factor_residuals[lam] = float(residual)
-        report.blocks[lam] = DenseOperator(block)
-    report.leakage = float(absw.max())
+        # bt[b, q, a, p] = block[a * np_ + p, b * np_ + q]
+        bt = wt[sl, sl].reshape(nq, np_, nq, np_)
+        # best collective factor (transposed) by contracting the known one
+        q_hat_t = np.einsum("bqap,pq->ba", bt, p_mat) / np_
+        # kron(q_hat, p_mat)^T - block^T, by broadcasting
+        diff = q_hat_t[:, None, :, None] * p_mat.T[:, None, :]
+        diff -= bt
+        report.factor_residuals[lam] = float(np.abs(diff).max())
+        report.blocks[lam] = DenseOperator(w[sl, sl])
     return report
+
+
+def _collective_factors(x, n: int) -> tuple:
+    """(x^{tensor n//2}, x^{tensor n - n//2}), whose kron is x^{tensor n}."""
+    return collective_unitary(x, n // 2), collective_unitary(x, n - n // 2)
+
+
+def _off_block_max(wt, sectors) -> float:
+    """max |w| over every entry of w = wt.T outside the diagonal sector
+    blocks, read from wt one sector's rows at a time."""
+    out = 0.0
+    for sl, _, _ in sectors.values():
+        rows = wt[sl]
+        for part in (rows[:, : sl.start], rows[:, sl.stop :]):
+            out = max(out, float(np.abs(part).max(initial=0.0)))
+    return out
 
 
 def rho_blocks(rho, n: int) -> dict:
@@ -140,7 +159,7 @@ def rho_blocks(rho, n: int) -> dict:
     if evals.min() < -1e-10 or abs(rho.trace().real - 1.0) > 1e-10:
         raise ValueError("rho must be a density matrix (PSD, trace 1)")
     t = schur(d, n)
-    w = t.conjugate(collective_unitary(rho, n))
+    w = t.conjugate(_collective_factors(rho, n))
     out = {}
     for lam, (sl, nq, np_) in t.codec.sectors.items():
         b4 = w[sl, sl].reshape(nq, np_, nq, np_)

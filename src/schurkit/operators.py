@@ -100,11 +100,22 @@ def permute_columns_like(matrix: np.ndarray, s, d: int) -> np.ndarray:
     return np.take(matrix, _image_indices(s, d), axis=1)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) for two matrices, as one broadcast product."""
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+
+
 def collective_unitary(u: np.ndarray, n: int) -> np.ndarray:
-    """U^{tensor n} acting identically on every qudit."""
-    out = np.array([[1.0]])
-    for _ in range(n):
-        out = np.kron(out, u)
+    """U^{tensor n} acting identically on every qudit (u may be rectangular),
+    by squaring along the bits of n: U^{tensor 2m} = kron(U^{tensor m},
+    U^{tensor m}), times one more U on each set bit."""
+    u = np.asarray(u)
+    out = np.ones((1, 1))
+    for bit in f"{n:b}":
+        out = _kron(out, out)
+        if bit == "1":
+            out = _kron(out, u)
     return out
 
 

@@ -197,6 +197,24 @@ def trace_bound_check(lam, r, n: int, d: int = None) -> TraceBoundRecord:
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than {d} rows")
     value = dim_p(lam) * float(schur_poly(lam, r + (0.0,) * (d - len(r))))
+    return _trace_bound_record(lam, value, r, n, d)
+
+
+def trace_bound_checks(r, n: int) -> list:
+    """trace_bound_check(lam, r, n) for every lam of n with at most len(r)
+    rows, in enumerate_partitions order, with the masses of one
+    sector_distribution (one schur_polys call over every lam)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    r = _sorted_spectrum(r)
+    return [
+        _trace_bound_record(lam, value, r, n, len(r))
+        for lam, value in sector_distribution(r, n).items()
+    ]
+
+
+def _trace_bound_record(lam, value: float, r: tuple, n: int, d: int) -> TraceBoundRecord:
+    """The sandwich of a sector mass value of lam, for r sorted and d >= len(r)."""
     dv = kl_divergence(normalized_shape(lam, n, d), r + (0.0,) * (d - len(r)))
     poly = (n + d) ** (d * (d + 1) / 2)
     if dv == math.inf:

@@ -17,13 +17,13 @@ import numpy as np
 
 from .characters import character
 from .combinatorics import (
+    _gz_weights,
     add_box,
     dim_p,
     dim_q,
     enumerate_gz,
     enumerate_partitions,
     gz_weight,
-    interlacing_partitions,
     normalize,
     partition_str,
     sibling_offset,
@@ -90,20 +90,6 @@ class SchurLabelCodec:
 
     def gz_pattern(self, lam, qi: int):
         return enumerate_gz(normalize(lam), self.d)[qi - 1]
-
-
-@lru_cache(maxsize=None)
-def _gz_weights(lam, d: int) -> tuple:
-    """The gz_weight of each GZ pattern of lam, in enumerate_gz order, by the
-    same recursion: the weight of sub + (lam,) is weight(sub) + (|lam| - |mu|,)
-    for sub a pattern of mu."""
-    if d == 1:
-        return ((sum(lam),),)
-    out = []
-    for mu in interlacing_partitions(lam, d - 1):
-        last = (sum(lam) - sum(mu),)
-        out.extend(w + last for w in _gz_weights(mu, d - 1))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -217,6 +203,10 @@ def _cascade_step(stacks: list, words: dict, d: int, k: int, triplets: dict) -> 
     return grown, {w: np.concatenate(parts[w]) for w in order}
 
 
+# rows of the left product that conjugate gathers and transposes at a time
+_BAND = 64
+
+
 class SchurTransform:
     """The Schur transform S(d, n), built as the cascade S(d, k) =
     CG_k (S(d, k - 1) tensor I); get one through schur(d, n).
@@ -326,29 +316,58 @@ class SchurTransform:
             raise ValueError(f"expected {len(self.codec)} rows, got {len(x)}")
         return self._blockdiag_matmul(x[self.cols])[self.pos]
 
-    def conjugate(self, x) -> np.ndarray:
-        """S x S^T in codec order (S real) for a real or complex (d^n x d^n) x.
+    def conjugate(self, x, perm=None) -> np.ndarray:
+        """S x[:, perm] S^T in codec order (S real), for a real or complex
+        (d^n x d^n) x or a pair (a, b) of matrices standing for kron(a, b),
+        which is never formed; perm (default: none) is an index array of
+        length d^n.
 
         Works on the weight blocks of S: one batched product per block size
         on each side, O(D * sum_w D_w^2) work for D = d^n and block sizes
-        D_w, instead of the D^3 of a dense product.
+        D_w, instead of the D^3 of a dense product, in two D x D arrays.
         """
-        x = np.asarray(x)
-        x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
         dim = len(self.codec)
-        if x.shape != (dim, dim):
-            raise ValueError(f"expected a ({dim} x {dim}) matrix, got {x.shape}")
         cols, pos = self.cols, self.pos
-        # with x_w = x[cols][:, cols] and B = blockdiag(S) in block order, each
-        # product acts on rows only: B (B x_w)^T = (B x_w B^T)^T; the gathers put
-        # rows and columns in place in two D x D buffers (the result is a .T view)
-        half = self._blockdiag_matmul(x[cols])
-        y = half.T[cols]
-        full_t = self._blockdiag_matmul(y, out=half)
+        if isinstance(x, tuple):
+            a, b = (np.asarray(f) for f in x)
+            both = a.ndim == b.ndim == 2
+            if not both or (len(a) * len(b), a.shape[1] * b.shape[1]) != (dim, dim):
+                raise ValueError(
+                    f"expected factors of a ({dim} x {dim}) matrix, got {a.shape}, {b.shape}"
+                )
+            # the rows of kron(a, b) in block order, written by one product
+            work = np.empty((dim, dim), np.result_type(a, b, np.float64))
+            np.multiply(
+                a[cols // len(b)][:, :, None],
+                b[cols % len(b)][:, None, :],
+                out=work.reshape(dim, a.shape[1], b.shape[1]),
+            )
+        else:
+            x = np.asarray(x)
+            x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
+            if x.shape != (dim, dim):
+                raise ValueError(f"expected a ({dim} x {dim}) matrix, got {x.shape}")
+            work = x[cols]
+        idx = cols
+        if perm is not None:
+            perm = np.asarray(perm)
+            if perm.shape != (dim,):
+                raise ValueError(f"expected {dim} column indices, got shape {perm.shape}")
+            idx = perm[cols]
+        # B = blockdiag(S) in block order acts on rows only: with half = B x[cols],
+        # S x[:, perm] S^T in codec order is (B y)[pos].T for y[i, j] =
+        # half[pos[j], idx[i]], the transposed left product with perm and the
+        # codec order of the columns folded in; y is gathered a band of rows of
+        # half at a time, each read along its rows (the walk down the columns
+        # of half aliases in the cache at D = 1024)
+        half = self._blockdiag_matmul(work)
+        for j in range(0, dim, _BAND):
+            rows = np.take(half, pos[j : j + _BAND], axis=0)
+            work[:, j : j + _BAND] = np.take(rows, idx, axis=1).T
+        full_t = self._blockdiag_matmul(work, out=half)
         # mode="clip" spares the buffered copy that out= costs under "raise";
-        # __init__ has checked that cols and pos are permutations of range(D)
-        np.take(full_t, pos, axis=0, out=y, mode="clip")
-        return np.take(y, pos, axis=1, out=full_t, mode="clip").T
+        # __init__ has checked that pos is a permutation of range(D)
+        return np.take(full_t, pos, axis=0, out=work, mode="clip").T
 
 
 _transforms = lru_cache(maxsize=None)(SchurTransform)

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurkit.cli import _build_parser, _emit, _num, main, matrix_document
+from schurkit.combinatorics import _branching_plan, enumerate_partitions, partition_str
+from schurkit.qtypes import trace_bound_check
 
 SCHEMA = json.loads(
     resources.files("schurkit").joinpath("schemas/document.schema.json").read_text()
@@ -189,6 +191,50 @@ def test_bound_violation_exits_2(capsys, monkeypatch):
         capsys, "verify", "--d", "2", "--n", "3", "--trials", "2", "--tol", "1e-30"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--d", "2", "--n", "3", "--tol", "nan"),
+        ("verify", "--d", "2", "--n", "3", "--tol", "-1"),
+        ("concentrate", "--n", "2", "--state", "unread.json", "--tol", "0"),
+        ("qft", "--n", "3", "--tol", "nan"),
+        ("channel", "--n", "2", "--tol", "inf"),
+        ("compress", "--n", "4", "--r", "0.5,0.5", "--rate", "nan"),
+        ("compress", "--n", "4", "--r", "0.5,0.5", "--rate", "inf"),
+        ("typebounds", "--n", "4", "--r", "0.5,0.5", "--delta", "nan"),
+        ("typebounds", "--n", "4", "--r", "0.5,0.5", "--delta", "-0.5"),
+        ("typebounds", "--n", "4", "--r", "0.5,0.5", "--delta", "0.1x"),
+    ],
+)
+def test_float_flags_must_be_finite_and_positive(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert f"argument {argv[-2]}: expected a finite number > 0" in err
+
+
+def test_commands_run_past_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, "schur", "--d", "500", "--n", "1", "--format", "csv")
+    assert code == 0 and out.count("\n") == 1 + 500 * 500
+    code, out, _ = run(capsys, "verify", "--d", "1100", "--n", "1", "--trials", "1")
+    assert code == 0 and "passed = true" in out
+    # a Kostka table with C(1002, 3) columns is refused before any is listed
+    code, out, err = run(capsys, "kostka", "--d", "1000", "--n", "3")
+    assert code == 1 and out == "" and "exceeds cap" in err
+
+
+def test_typebounds_reads_one_branching_plan(capsys):
+    argv = ("typebounds", "--r", "0.5,0.3,0.2", "--n", "12", "--format", "json")
+    _branching_plan.cache_clear()
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and _branching_plan.cache_info().currsize == 1
+    r = (0.5, 0.3, 0.2)
+    expected = []
+    for lam in enumerate_partitions(3, 12):
+        rec = trace_bound_check(lam, r, 12)
+        expected.append([partition_str(lam), rec.value, rec.lower, rec.upper, rec.bounds_hold])
+    assert doc["rows"] == expected
 
 
 _SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf, np.nan]

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from schurkit.combinatorics import (
     _branching_plan,
+    _gz_weights,
     add_box,
     dim_p,
     dim_q,
@@ -100,6 +102,60 @@ def test_gz_weights_sum_to_size():
     for lam in enumerate_partitions(3, 4):
         for g in enumerate_gz(lam, 3):
             assert sum(gz_weight(g)) == 4
+
+
+def _recursive_interlacing(lam, rows):
+    lam = pad(lam, rows + 1)
+
+    def gen(i):
+        if i == rows or lam[i] == 0:
+            yield ()
+            return
+        for v in range(lam[i], lam[i + 1] - 1, -1):
+            for rest in gen(i + 1):
+                yield (v,) + rest
+
+    return [normalize(mu) for mu in gen(0)]
+
+
+def _recursive_gz(lam, d):
+    if d == 1:
+        return [(lam,)]
+    return [
+        sub + (lam,)
+        for mu in _recursive_interlacing(lam, d - 1)
+        for sub in _recursive_gz(mu, d - 1)
+    ]
+
+
+def _recursive_weights(d, n):
+    if d == 1:
+        return [(n,)]
+    return [(first,) + rest for first in range(n, -1, -1) for rest in _recursive_weights(d - 1, n - first)]
+
+
+def test_gz_tables_and_weights_follow_the_recursive_order():
+    for d in range(1, 6):
+        for n in range(0, 7):
+            assert weights_of_size(d, n) == _recursive_weights(d, n)
+            for lam in enumerate_partitions(d, n):
+                assert interlacing_partitions(lam, d - 1) == _recursive_interlacing(lam, d - 1)
+                patterns = _recursive_gz(lam, d)
+                assert list(enumerate_gz(lam, d)) == patterns
+                assert list(_gz_weights(lam, d)) == [gz_weight(g) for g in patterns]
+                for mu in weights_of_size(d, n)[:: d + 1]:
+                    assert kostka(lam, mu) == sum(gz_weight(g) == mu for g in patterns)
+
+
+def test_gz_tables_and_weights_run_past_the_recursion_limit():
+    d = sys.getrecursionlimit() + 100
+    patterns = enumerate_gz((1,), d)
+    assert len(patterns) == d and patterns[0] == ((1,),) * d
+    assert patterns[-1] == ((),) * (d - 1) + ((1,),)
+    weights = _gz_weights((1,), d)
+    assert weights == tuple(weights_of_size(d, 1)) == tuple(map(gz_weight, patterns))
+    assert weights_of_size(d, 1) == [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    assert kostka((1,), (0,) * (d - 1) + (1,)) == 1
 
 
 def test_yy_index_bijection():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import haar_unitary, random_permutation
@@ -14,7 +16,7 @@ from schurkit.duality_checks import (
 from schurkit.permutations import all_permutations, compose
 from schurkit.operators import collective_unitary, permutation_action
 from schurkit.qtypes import sector_distribution
-from schurkit.schur_transform import schur
+from schurkit.schur_transform import schur, schur_unitary
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (3, 3), (3, 4), (2, 10), (32, 2)])
@@ -26,6 +28,53 @@ def test_simultaneous_block_diagonalization(d, n, rng):
         assert report.leakage < 1e-12
         assert report.worst_factor_residual < 1e-12
         assert set(report.blocks) == set(enumerate_partitions(d, n))
+
+
+def _dense_report(u, s, d, n):
+    """verify_block_diagonal's fields from the dense S, an n-fold np.kron
+    and permutation_action."""
+    x = np.array([[1.0]])
+    for _ in range(n):
+        x = np.kron(x, u)
+    su, codec = schur_unitary(d, n)
+    w = su.matrix @ (x @ permutation_action(s, d)) @ su.matrix.T
+    off, residuals, blocks = np.abs(w), {}, {}
+    for lam, (sl, nq, np_) in codec.sectors.items():
+        off[sl, sl] = 0.0
+        p_mat = young_orthogonal(lam, s)
+        q_hat = np.einsum("apbq,pq->ab", w[sl, sl].reshape(nq, np_, nq, np_), p_mat) / np_
+        residuals[lam] = np.abs(w[sl, sl] - np.kron(q_hat, p_mat)).max()
+        blocks[lam] = w[sl, sl]
+    return off.max(), residuals, blocks
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (3, 1), (2, 2), (2, 5), (3, 4), (4, 3), (2, 8)])
+def test_verify_block_diagonal_matches_a_dense_reference(d, n, rng):
+    for real in (False, True):
+        u = haar_unitary(rng, d)
+        u = np.linalg.qr(u.real)[0] if real else u
+        s = random_permutation(rng, n)
+        report = verify_block_diagonal(u, s, d, n)
+        leakage, residuals, blocks = _dense_report(u, s, d, n)
+        assert abs(report.leakage - leakage) <= 1e-12
+        assert report.factor_residuals.keys() == residuals.keys()
+        for lam, res in residuals.items():
+            assert abs(report.factor_residuals[lam] - res) <= 1e-12
+            assert np.abs(report.blocks[lam].matrix - blocks[lam]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(2, 10), (32, 2), (4, 5)])
+def test_verify_block_diagonal_peaks_within_two_and_a_half_work_arrays(d, n, rng):
+    u, s = haar_unitary(rng, d), random_permutation(rng, n)
+    verify_block_diagonal(u, s, d, n)  # warm the transform and its caches
+    tracemalloc.start()
+    try:
+        verify_block_diagonal(u, s, d, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    work = 16 * d ** (2 * n)  # one complex D x D array
+    assert peak <= 2.5 * work, f"peak {peak} B is {peak / work:.2f} complex D x D arrays"
 
 
 def test_verify_rejects_non_unitary():

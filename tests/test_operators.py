@@ -58,6 +58,18 @@ def test_collective_unitary(rng):
     assert np.abs(big - np.kron(u, np.kron(u, u))).max() < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 2), (1, 3)])
+def test_collective_unitary_is_the_kron_chain(rng, shape):
+    # rectangular factors are what collective_split passes
+    u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    chain = np.array([[1.0]])
+    for n in range(7):
+        got = collective_unitary(u, n)
+        assert got.shape == chain.shape and np.abs(got - chain).max() <= 1e-12
+        chain = np.kron(chain, u)
+    assert collective_unitary(np.eye(2, dtype=int), 2).dtype == np.float64
+
+
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 3)])
 def test_right_multiply_collective_matches_dense_product(rng, d, n):
     u = haar_unitary(rng, d)

@@ -17,6 +17,7 @@ from schurkit.qtypes import (
     sector_distribution,
     spectrum_estimate,
     trace_bound_check,
+    trace_bound_checks,
     typical_mass,
 )
 
@@ -65,6 +66,15 @@ def test_trace_bound_sandwich_qubit():
     for n in (5, 10, 20):
         for lam in enumerate_partitions(2, n):
             assert trace_bound_check(lam, r, n).bounds_hold
+
+
+@pytest.mark.parametrize("r,n", [((0.8, 0.2), 9), ((0.2, 0.3, 0.5), 7), ((0.6, 0.4, 0.0), 5), ((1.0,), 3)])
+def test_trace_bound_checks_are_the_per_shape_checks(r, n):
+    assert trace_bound_checks(r, n) == [
+        trace_bound_check(lam, r, n) for lam in enumerate_partitions(len(r), n)
+    ]
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        trace_bound_checks(r, 0)
 
 
 def test_trace_bound_check_rejects_a_d_it_cannot_honour():

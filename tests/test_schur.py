@@ -271,6 +271,45 @@ def test_schur_conjugate_rejects_shape_mismatch():
         schur(2, 3).apply(np.ones(4))
 
 
+@pytest.mark.parametrize(
+    "d,n", [(1, 3), (3, 1), (5, 1), (2, 4), (2, 10), (4, 5), (10, 3), (32, 2)]
+)
+def test_schur_conjugate_of_factors_and_permutation_matches_dense(d, n, rng):
+    t, s = schur(d, n), schur_unitary(d, n)[0].matrix
+    perm = rng.permutation(d**n)
+    k = n // 2
+    # a real square pair, and a rectangular pair with a complex first factor
+    square = rng.normal(size=(d**k, d**k)), rng.normal(size=(d ** (n - k),) * 2)
+    shapes = (d**k, d ** (k + 1)), (d ** (n - k), d ** (n - k - 1))
+    ra, rb = (rng.normal(size=shape) for shape in shapes)
+    rectangular = ra + 1j * rng.normal(size=shapes[0]), rb
+    for a, b in (square, rectangular):
+        x = np.kron(a, b)
+        parts = (x.real, x.imag) if np.iscomplexobj(x) else (x, 0 * x)
+        re, im = (s @ part[:, perm] @ s.T for part in parts)
+        for arg in ((a, b), x):
+            got = t.conjugate(arg, perm=perm)
+            assert got.dtype == x.dtype
+            assert max(np.abs(got.real - re).max(), np.abs(got.imag - im).max()) <= 1e-12
+        assert np.abs(t.conjugate((a, b), perm=list(perm)) - got).max() <= 1e-12
+        assert np.abs(t.conjugate((a, b)) - t.conjugate(x)).max() <= 1e-12
+
+
+def test_schur_conjugate_rejects_factors_and_permutations_of_the_wrong_size():
+    t = schur(2, 3)
+    for pair in (
+        (np.eye(2), np.eye(3)),  # 6 x 6
+        (np.ones((2, 4)), np.eye(2)),  # 4 x 8
+        (np.ones((2, 4)), np.ones((4, 1))),  # 8 x 4
+        (np.ones(2), np.eye(4)),  # a vector
+    ):
+        with pytest.raises(ValueError, match="factors"):
+            t.conjugate(pair)
+    for perm in (np.arange(4), np.arange(8).reshape(2, 4)):
+        with pytest.raises(ValueError, match="column indices"):
+            t.conjugate((np.eye(2), np.eye(4)), perm=perm)
+
+
 def test_cascade_rejects_cg_block_that_breaks_weight(monkeypatch):
     real_cg_triplets = schur_transform.cg_triplets
 
