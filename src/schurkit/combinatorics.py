@@ -256,6 +256,16 @@ def _gz_weights(lam, d: int) -> tuple:
     return _gz_table(lam, d, size, lambda top, mu: size(top) - size(mu))
 
 
+@lru_cache(maxsize=None)
+def _weight_classes(lam, d: int) -> dict:
+    """GZ weight -> indices of the patterns of lam with that weight, in
+    enumerate_gz order; lam is canonical with at most d rows."""
+    out = {}
+    for k, w in enumerate(_gz_weights(lam, d)):
+        out.setdefault(w, []).append(k)
+    return {w: np.array(ks) for w, ks in out.items()}
+
+
 def gz_weight(pattern) -> tuple:
     """Weight of a GZ pattern: entry j is |q_j| - |q_{j-1}|."""
     sizes = [0] + [sum(q) for q in pattern]
@@ -347,7 +357,7 @@ def kostka(lam, mu) -> int:
     d = len(mu)
     if len(lam) > d:
         return 0
-    return _gz_weights(lam, d).count(mu)
+    return len(_weight_classes(lam, d).get(mu, ()))
 
 
 def schur_poly(lam, r):

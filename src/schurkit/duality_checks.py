@@ -19,9 +19,10 @@ from .characters import young_orthogonal
 from .combinatorics import normalize
 from .operators import (
     DenseOperator,
+    _collective_factors,
     _image_indices,
-    collective_unitary,
     permute_columns_like,
+    real_complex_matmul,
     right_multiply_collective,
 )
 from .permutations import check_permutation
@@ -79,7 +80,7 @@ def _rows_of_s(t, lam, qis, paths: int) -> np.ndarray:
 def _irrep_block(xr, rows) -> DenseOperator:
     """rows x rows^T from xr = rows x, labeled 1, 2, ..."""
     labels = list(range(1, len(rows) + 1))
-    return DenseOperator(xr @ rows.T, row_labels=labels, col_labels=labels)
+    return DenseOperator(real_complex_matmul(xr, rows.T), row_labels=labels, col_labels=labels)
 
 
 @dataclass
@@ -122,11 +123,6 @@ def verify_block_diagonal(u, s, d: int, n: int, tol: float = 1e-10) -> IrrepBloc
         report.factor_residuals[lam] = float(np.abs(diff).max())
         report.blocks[lam] = DenseOperator(w[sl, sl])
     return report
-
-
-def _collective_factors(x, n: int) -> tuple:
-    """(x^{tensor n//2}, x^{tensor n - n//2}), whose kron is x^{tensor n}."""
-    return collective_unitary(x, n // 2), collective_unitary(x, n - n // 2)
 
 
 def _off_block_max(wt, sectors) -> float:

@@ -85,11 +85,14 @@ def permutation_action(s, d: int) -> np.ndarray:
 
 
 def _image_indices(s, d: int) -> np.ndarray:
-    """dest[i] = index of P(s)|i> for every computational index i."""
-    powers = d ** np.arange(len(s) - 1, -1, -1)
-    digits = np.arange(d ** len(s)) // powers[:, None] % d
-    # output digit at position s(k) is the input digit at position k
-    return powers @ digits[np.argsort(s)]
+    """dest[i] = index of P(s)|i> for every computational index i; for a
+    (k, n) stack of permutations, one such row per permutation."""
+    s = np.asarray(s)
+    powers = d ** np.arange(s.shape[-1] - 1, -1, -1)
+    digits = np.arange(d ** len(powers)) // powers[:, None] % d
+    # the input digit at position k is the output digit at position s(k), so
+    # it carries the place value of that position: one integer product
+    return powers[np.argsort(np.argsort(s, axis=-1), axis=-1)] @ digits
 
 
 def permute_columns_like(matrix: np.ndarray, s, d: int) -> np.ndarray:
@@ -119,6 +122,11 @@ def collective_unitary(u: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _collective_factors(x, n: int) -> tuple:
+    """(x^{tensor n//2}, x^{tensor n - n//2}), whose kron is x^{tensor n}."""
+    return collective_unitary(x, n // 2), collective_unitary(x, n - n // 2)
+
+
 def collective_split(u: np.ndarray, n: int, da: int) -> np.ndarray:
     """u^{tensor n} for u mapping into C^da tensor C^db, as a
     (da^n, db^n, columns) array: the output factors are regrouped from
@@ -146,21 +154,29 @@ def right_multiply_collective(matrix: np.ndarray, u: np.ndarray, n: int) -> np.n
     return t.reshape(rows, dim)
 
 
-def real_complex_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, splitting complex factors into real GEMMs when one side is
-    real (roughly 2x faster than promoting the real side to complex)."""
-    a_real = not np.iscomplexobj(a)
-    b_real = not np.iscomplexobj(b)
-    if a_real and b_real:
-        return a @ b
-    # .real/.imag of a complex array are strided views; copy to keep the
-    # products on the contiguous GEMM fast path
-    if a_real:
-        return (a @ np.ascontiguousarray(b.real)) + 1j * (
-            a @ np.ascontiguousarray(b.imag)
-        )
-    if b_real:
-        return (np.ascontiguousarray(a.real) @ b) + 1j * (
-            np.ascontiguousarray(a.imag) @ b
-        )
-    return a @ b
+def real_complex_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """np.matmul(a, b, out=out) for matrices, vectors or stacks of blocks.
+    With exactly one complex factor the real one is never promoted: real a
+    times complex b is one real GEMM on b's float64 view, and complex a
+    times real b is its transpose, (b^T a^T)^T."""
+    a, b = np.asarray(a), np.asarray(b)
+    if (a.dtype.kind == "c") == (b.dtype.kind == "c"):
+        return np.matmul(a, b, out=out)
+    if a.dtype.kind == "c":
+        # the transpose of each block; a vector is its own
+        t = lambda m: np.swapaxes(m, -1, -2) if m.ndim > 1 else m
+        res = t(real_complex_matmul(t(b), t(a)))
+        if out is None:
+            return res
+        out[...] = res
+        return out
+    # the float64 views of b and out hold the real and imaginary part of each
+    # column (a vector is one column) as two adjacent real columns
+    vec = b.ndim == 1
+    flat = np.ascontiguousarray(b[:, None] if vec else b).view(b.real.dtype)
+    if out is not None:
+        np.matmul(a, flat, out=(out[..., None] if vec else out).view(out.real.dtype))
+        return out
+    res = np.matmul(a, flat)
+    res = res.view(np.promote_types(res.dtype, np.complex64))
+    return res[..., 0] if vec else res

@@ -25,7 +25,7 @@ from .combinatorics import (
     schur_poly,
     schur_polys,
 )
-from .operators import DenseOperator, collective_split
+from .operators import DenseOperator, _collective_factors
 from .schur_transform import schur
 
 
@@ -314,9 +314,8 @@ def concentrate(psi, n: int) -> ConcentrationReport:
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
         raise ValueError("psi must be normalized")
     t = schur(d, n)
-    # psi^{tensor n} with rows a1..an and columns b1..bn
-    state = collective_split(psi.reshape(-1, 1), n, d).reshape(d**n, d**n)
-    both = t.conjugate(state)  # rows: Alice labels, cols: Bob labels
+    # psi^{tensor n}, rows a1..an and columns b1..bn, is M^{tensor n} for M = psi.reshape(d, d)
+    both = t.conjugate(_collective_factors(psi.reshape(d, d), n))  # rows: Alice, cols: Bob
     report = ConcentrationReport(
         n=n, outcome_weights={}, off_diagonal_mass=0.0, schmidt_values={}
     )

@@ -18,12 +18,12 @@ import numpy as np
 from .characters import character
 from .combinatorics import (
     _gz_weights,
+    _weight_classes,
     add_box,
     dim_p,
     dim_q,
     enumerate_gz,
     enumerate_partitions,
-    gz_weight,
     normalize,
     partition_str,
     sibling_offset,
@@ -84,22 +84,11 @@ class SchurLabelCodec:
         return self.sector(lam)[0]
 
     def row_strings(self) -> list:
-        return [
-            f"lam={partition_str(lam)} q={qi} p={pi}" for lam, qi, pi in self.triples
-        ]
+        names = {lam: partition_str(lam) for lam in self.sectors}
+        return [f"lam={names[lam]} q={qi} p={pi}" for lam, qi, pi in self.triples]
 
     def gz_pattern(self, lam, qi: int):
         return enumerate_gz(normalize(lam), self.d)[qi - 1]
-
-
-@lru_cache(maxsize=None)
-def _weight_classes(lam, d: int) -> dict:
-    """GZ weight -> indices of the patterns of lam with that weight, in
-    enumerate_gz order."""
-    out = {}
-    for k, w in enumerate(_gz_weights(lam, d)):
-        out.setdefault(w, []).append(k)
-    return {w: np.array(ks) for w, ks in out.items()}
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +263,7 @@ class SchurTransform:
         block of their weight, restricted to that block's columns, and those
         columns; qi is an index in [1, dim_q(lam)]."""
         _, _, np_ = self.codec.sector(lam)
-        rows, cols, block = self.by_weight[gz_weight(self.codec.gz_pattern(lam, qi))]
+        rows, cols, block = self.by_weight[_gz_weights(normalize(lam), self.codec.d)[qi - 1]]
         top = np.searchsorted(rows, self.codec.index(lam, qi, 1))
         return block[top : top + np_], cols
 
@@ -291,20 +280,16 @@ class SchurTransform:
 
     def _blockdiag_matmul(self, y: np.ndarray, out=None) -> np.ndarray:
         """blockdiag(S) @ y for y in block order (rows) and any columns,
-        into out if given; a complex y is multiplied through its float64
-        view, so every product is a real GEMM."""
+        into out if given: one real_complex_matmul per stack, so every
+        product is a real GEMM."""
         y = np.ascontiguousarray(y)
         out = np.empty_like(y) if out is None else out
-        flat, flat_out = (a.view(np.float64).reshape(len(y), -1) for a in (y, out))
         start = 0
         for blocks in self.stacks:
             k, m, _ = blocks.shape
             stop = start + k * m
-            np.matmul(
-                blocks,
-                flat[start:stop].reshape(k, m, -1),
-                out=flat_out[start:stop].reshape(k, m, -1),
-            )
+            part, into = (z[start:stop].reshape(k, m, -1) for z in (y, out))
+            real_complex_matmul(blocks, part, out=into)
             start = stop
         return out
 
@@ -317,10 +302,10 @@ class SchurTransform:
         return self._blockdiag_matmul(x[self.cols])[self.pos]
 
     def conjugate(self, x, perm=None) -> np.ndarray:
-        """S x[:, perm] S^T in codec order (S real), for a real or complex
-        (d^n x d^n) x or a pair (a, b) of matrices standing for kron(a, b),
-        which is never formed; perm (default: none) is an index array of
-        length d^n.
+        """S x[:, perm] S^T in codec order (S real), for a pair (a, b) of
+        real or complex matrices standing for the (d^n x d^n) x = kron(a, b),
+        which is never formed; an array x is the pair (x, [[1]]).  perm
+        (default: none) is an index array of length d^n.
 
         Works on the weight blocks of S: one batched product per block size
         on each side, O(D * sum_w D_w^2) work for D = d^n and block sizes
@@ -328,26 +313,19 @@ class SchurTransform:
         """
         dim = len(self.codec)
         cols, pos = self.cols, self.pos
-        if isinstance(x, tuple):
-            a, b = (np.asarray(f) for f in x)
-            both = a.ndim == b.ndim == 2
-            if not both or (len(a) * len(b), a.shape[1] * b.shape[1]) != (dim, dim):
-                raise ValueError(
-                    f"expected factors of a ({dim} x {dim}) matrix, got {a.shape}, {b.shape}"
-                )
-            # the rows of kron(a, b) in block order, written by one product
-            work = np.empty((dim, dim), np.result_type(a, b, np.float64))
-            np.multiply(
-                a[cols // len(b)][:, :, None],
-                b[cols % len(b)][:, None, :],
-                out=work.reshape(dim, a.shape[1], b.shape[1]),
+        a, b = (np.asarray(f) for f in (x if isinstance(x, tuple) else (x, np.ones((1, 1)))))
+        both = a.ndim == b.ndim == 2
+        if not both or (len(a) * len(b), a.shape[1] * b.shape[1]) != (dim, dim):
+            raise ValueError(
+                f"expected factors of a ({dim} x {dim}) matrix, got {a.shape}, {b.shape}"
             )
-        else:
-            x = np.asarray(x)
-            x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
-            if x.shape != (dim, dim):
-                raise ValueError(f"expected a ({dim} x {dim}) matrix, got {x.shape}")
-            work = x[cols]
+        # the rows of kron(a, b) in block order, written by one product
+        work = np.empty((dim, dim), np.result_type(a, b, np.float64))
+        np.multiply(
+            a[cols // len(b)][:, :, None],
+            b[cols % len(b)][:, None, :],
+            out=work.reshape(dim, a.shape[1], b.shape[1]),
+        )
         idx = cols
         if perm is not None:
             perm = np.asarray(perm)

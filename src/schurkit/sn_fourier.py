@@ -24,7 +24,7 @@ import numpy as np
 
 from .characters import young_orthogonal
 from .combinatorics import dim_p, enumerate_partitions
-from .operators import DenseOperator, _image_indices, require_dense
+from .operators import DenseOperator, _image_indices, real_complex_matmul, require_dense
 from .permutations import all_permutations, compose, inverse, perm_index, transposition
 from .schur_transform import schur
 
@@ -174,15 +174,15 @@ def _ancilla_pipeline(state, d: int, n: int):
     require_dense(math.factorial(n), d**n)
     f, layout = sn_qft_from_schur(n)
     # dest[k, i] = index of P(s_k)|i>
-    dest = np.stack([_image_indices(s, d) for s in all_permutations(n)])
+    dest = _image_indices(all_permutations(n), d)
     rows = np.arange(dest.shape[0])[:, None]
     trivial = np.full(dest.shape[0], 1.0 / math.sqrt(dest.shape[0]))
     joint = np.zeros(dest.shape, dtype=complex)
     joint[rows, dest] = trivial[:, None] * state
-    joint = f.matrix @ joint
+    joint = real_complex_matmul(f.matrix, joint)
 
     def uncompute(sl: slice, part: np.ndarray) -> np.ndarray:
-        return trivial @ (f.matrix[sl].T @ part)[rows, dest]
+        return real_complex_matmul(trivial, real_complex_matmul(f.matrix[sl].T, part)[rows, dest])
 
     return layout, joint, uncompute
 

@@ -4,6 +4,7 @@ from conftest import haar_unitary, random_permutation
 
 from schurkit.operators import (
     DenseOperator,
+    _image_indices,
     collective_unitary,
     permutation_action,
     permute_columns_like,
@@ -50,6 +51,14 @@ def test_permute_columns_like_matches_dense_product(rng):
     assert np.array_equal(
         permute_columns_like(m, s, d), m @ permutation_action(s, d)
     )
+    # the index maps of a (k, n) stack are those of each permutation in turn
+    for d, n in [(1, 3), (2, 1), (2, 4), (3, 3), (4, 2)]:
+        perms = all_permutations(n)
+        stacked = _image_indices(perms, d)
+        assert stacked.shape == (len(perms), d**n)
+        for row, s in zip(stacked, perms):
+            assert np.array_equal(row, _image_indices(s, d))
+            assert np.array_equal(row, permutation_action(s, d).argmax(axis=0))
 
 
 def test_collective_unitary(rng):
@@ -87,3 +96,32 @@ def test_real_complex_matmul_matches_dense(rng):
     assert np.abs(real_complex_matmul(b, a) - b @ a).max() < 1e-12
     assert np.abs(real_complex_matmul(b, b) - b @ b).max() < 1e-12
     assert np.abs(real_complex_matmul(a, a) - a @ a).max() < 1e-12
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    pairs = [
+        (rng.normal(size=(5, 7)), cplx(7)),  # a vector
+        (rng.normal(size=7), cplx(7, 3)),
+        (rng.normal(size=(5, 7)), cplx(7, 3)),  # rectangular
+        (rng.normal(size=(5, 7)).T, cplx(3, 5).T),  # strided operands
+        (rng.normal(size=(4, 3, 3)), cplx(4, 3, 6)),  # a stack of blocks
+        (cplx(5, 7), rng.normal(size=(7, 3))),  # complex x real
+        (cplx(7), rng.normal(size=(7, 3))),
+        (cplx(5, 7), rng.normal(size=7)),
+        (cplx(4, 6, 3), rng.normal(size=(4, 3, 3))),
+    ]
+    for x, y in pairs:
+        want = np.matmul(x, y)
+        got = real_complex_matmul(x, y)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-12
+        out = np.empty_like(want)
+        assert real_complex_matmul(x, y, out=out) is out
+        assert np.abs(out - want).max() <= 1e-12
+    # out= on a stack writes into the rows of a larger array it views
+    blocks, part = rng.normal(size=(3, 4, 4)), cplx(3, 4, 5)
+    big = np.zeros((20, 5), dtype=complex)
+    real_complex_matmul(blocks, part, out=big[4:16].reshape(3, 4, 5))
+    assert not big[:4].any() and not big[16:].any()
+    assert np.abs(big[4:16].reshape(3, 4, 5) - blocks @ part).max() <= 1e-12

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schurkit.combinatorics import dim_p, enumerate_partitions, schur_poly
+from schurkit.operators import collective_split
 from schurkit.qtypes import (
     classical_type_bounds,
     compress_rate,
@@ -20,6 +21,7 @@ from schurkit.qtypes import (
     trace_bound_checks,
     typical_mass,
 )
+from schurkit.schur_transform import schur_unitary
 
 
 def test_entropy_and_divergence_basics():
@@ -130,6 +132,29 @@ def test_concentrate_two_qubit(rng):
         for lam, sv in report.schmidt_values.items():
             if len(sv):
                 assert np.abs(sv - 1 / math.sqrt(dim_p(lam))).max() < 1e-10
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (2, 8)])
+def test_concentrate_matches_a_dense_reference(rng, d, n):
+    psi = random_state(rng, d * d)
+    report = concentrate(psi, n)
+    s, codec = schur_unitary(d, n)
+    # psi^{tensor n} with rows a1..an and columns b1..bn, conjugated by the
+    # dense S on both sides
+    state = collective_split(psi.reshape(-1, 1), n, d).reshape(d**n, d**n)
+    both = s.matrix @ state @ s.matrix.T
+    total = 0.0
+    for lam, (sl, nq, np_) in codec.sectors.items():
+        block = both[sl, sl]
+        w = float((np.abs(block) ** 2).sum())
+        total += w
+        assert abs(report.outcome_weights[lam] - w) <= 1e-12
+        cond = block.reshape(nq, np_, nq, np_) / math.sqrt(w)
+        sv = np.linalg.svd(cond.transpose(1, 0, 2, 3).reshape(np_, -1), compute_uv=False)
+        assert np.abs(report.schmidt_values[lam] - sv).max() <= 1e-12
+        pair = np.einsum("apbq,arbs->pqrs", cond, cond.conj()).reshape(np_**2, np_**2)
+        assert np.abs(report.pair_states[lam].matrix - pair).max() <= 1e-12
+    assert abs(report.off_diagonal_mass - max(0.0, 1.0 - total)) <= 1e-12
 
 
 def test_concentrate_validates_input():
