@@ -29,7 +29,7 @@ from .combinatorics import (
     partition_str,
     weights_of_size,
 )
-from .duality_checks import verify_block_diagonal
+from .duality_checks import max_or_nan, verify_block_diagonal
 from .operators import require_dense
 from .qtypes import (
     compress_rate,
@@ -313,14 +313,13 @@ def _cmd_verify(args):
         raise ValueError("verify needs trials >= 1")
     rng = np.random.default_rng(args.seed)
     rows = []
-    worst_leak = worst_res = 0.0
     for t in range(args.trials):
         u = _haar(rng, args.d)
         s = tuple(int(x) + 1 for x in rng.permutation(args.n))
         report = verify_block_diagonal(u, s, args.d, args.n, tol=args.tol)
-        worst_leak = max(worst_leak, report.leakage)
-        worst_res = max(worst_res, report.worst_factor_residual)
         rows.append([t, report.leakage, report.worst_factor_residual])
+    worst_leak = max_or_nan(row[1] for row in rows)
+    worst_res = max_or_nan(row[2] for row in rows)
     ok = worst_leak < args.tol and worst_res < 10 * args.tol
     doc = table_document(
         ["trial", "leakage", "factor_residual"],

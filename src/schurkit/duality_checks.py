@@ -11,6 +11,7 @@ off-lam-block entry of the full d^n x d^n conjugate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,11 @@ def _irrep_block(xr, rows) -> DenseOperator:
 
 @dataclass
 class IrrepBlockReport:
-    """Result of a simultaneous block-diagonalization check."""
+    """Result of a simultaneous block-diagonalization check.
+
+    factor_residuals maps lam to max |block - q_hat tensor p_lam(s)|; a
+    sector with dim_p(lam) = 1 holds 0.0 by construction, or NaN when its
+    block is not finite."""
 
     d: int
     n: int
@@ -95,14 +100,26 @@ class IrrepBlockReport:
 
     @property
     def worst_factor_residual(self) -> float:
-        return max(self.factor_residuals.values()) if self.factor_residuals else 0.0
+        return max_or_nan(self.factor_residuals.values())
+
+
+def max_or_nan(values) -> float:
+    """The largest of some non-negative floats (0.0 if there are none), or
+    NaN if any of them is NaN.  Python's max drops a NaN that does not come
+    first, since every comparison with NaN is false."""
+    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
 def verify_block_diagonal(u, s, d: int, n: int, tol: float = 1e-10) -> IrrepBlockReport:
     """Conjugate u^{tensor n} P(s) by the Schur transform, measure the mass
     outside the lam-diagonal blocks, and test that each block factors as
     (collective factor) tensor p_lam(s) with p_lam built independently from
-    tableau contents."""
+    tableau contents.
+
+    A sector with dim_p(lam) = 1 (lam = (n) or (1^n)) reports its factor
+    residual as 0.0 by construction, or NaN when its block is not finite:
+    there p_lam(s) = [+-1], so q_hat tensor p_lam(s) reproduces any finite
+    block exactly and young_orthogonal is not called."""
     u = _require_unitary(u, d, tol=max(tol, 1e-8))
     s = check_permutation(s, n)
     t = schur(d, n)
@@ -112,6 +129,12 @@ def verify_block_diagonal(u, s, d: int, n: int, tol: float = 1e-10) -> IrrepBloc
     wt = w.T
     report = IrrepBlockReport(d=d, n=n, leakage=_off_block_max(wt, t.codec.sectors))
     for lam, (sl, nq, np_) in t.codec.sectors.items():
+        report.blocks[lam] = DenseOperator(w[sl, sl])
+        if np_ == 1:
+            # the entries of a unitary's conjugate are at most 1 in modulus,
+            # so the sum overflows only if some entry is not finite
+            report.factor_residuals[lam] = 0.0 if np.isfinite(wt[sl, sl].sum()) else math.nan
+            continue
         p_mat = young_orthogonal(lam, s)
         # bt[b, q, a, p] = block[a * np_ + p, b * np_ + q]
         bt = wt[sl, sl].reshape(nq, np_, nq, np_)
@@ -121,19 +144,17 @@ def verify_block_diagonal(u, s, d: int, n: int, tol: float = 1e-10) -> IrrepBloc
         diff = q_hat_t[:, None, :, None] * p_mat.T[:, None, :]
         diff -= bt
         report.factor_residuals[lam] = float(np.abs(diff).max())
-        report.blocks[lam] = DenseOperator(w[sl, sl])
     return report
 
 
 def _off_block_max(wt, sectors) -> float:
     """max |w| over every entry of w = wt.T outside the diagonal sector
-    blocks, read from wt one sector's rows at a time."""
-    out = 0.0
-    for sl, _, _ in sectors.values():
-        rows = wt[sl]
-        for part in (rows[:, : sl.start], rows[:, sl.stop :]):
-            out = max(out, float(np.abs(part).max(initial=0.0)))
-    return out
+    blocks, read from wt one sector's rows at a time; NaN if any is NaN."""
+    return max_or_nan(
+        np.abs(part).max(initial=0.0)
+        for sl, _, _ in sectors.values()
+        for part in (wt[sl, : sl.start], wt[sl, sl.stop :])
+    )
 
 
 def rho_blocks(rho, n: int) -> dict:

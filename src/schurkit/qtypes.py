@@ -25,7 +25,7 @@ from .combinatorics import (
     schur_poly,
     schur_polys,
 )
-from .operators import DenseOperator, _collective_factors
+from .operators import DenseOperator, _collective_factors, require_dense
 from .schur_transform import schur
 
 
@@ -314,6 +314,9 @@ def concentrate(psi, n: int) -> ConcentrationReport:
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
         raise ValueError("psi must be normalized")
     t = schur(d, n)
+    # each sector's pair state is a dense dim_p^2 x dim_p^2 array
+    largest = max(np_ for _, _, np_ in t.codec.sectors.values()) ** 2
+    require_dense(largest, largest)
     # psi^{tensor n}, rows a1..an and columns b1..bn, is M^{tensor n} for M = psi.reshape(d, d)
     both = t.conjugate(_collective_factors(psi.reshape(d, d), n))  # rows: Alice, cols: Bob
     report = ConcentrationReport(

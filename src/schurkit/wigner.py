@@ -32,7 +32,6 @@ cg_block is the dense view, formed on request.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -112,7 +111,7 @@ def _reduced_wigner(mu, j: int, mup, jp: int, d: int) -> float:
         num = 1
         for s in range(d - 1):
             num *= mt[j - 1] - mpt[s]
-        return math.sqrt(abs(Fraction(num, den)))
+        return math.sqrt(abs(num) / abs(den))
     num = 1
     for s in range(d - 1):
         if s != jp - 1:
@@ -125,7 +124,7 @@ def _reduced_wigner(mu, j: int, mup, jp: int, d: int) -> float:
     for t in range(d - 1):
         if t != jp - 1:
             den *= mpt[jp - 1] - mpt[t] + 1
-    value = math.sqrt(abs(Fraction(num, den)))
+    value = math.sqrt(abs(num) / abs(den))
     return -value if sign_part < 0 else value
 
 

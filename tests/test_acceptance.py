@@ -19,7 +19,7 @@ from schurkit.combinatorics import (
     multinomial,
     pad,
 )
-from schurkit.duality_checks import verify_block_diagonal
+from schurkit.duality_checks import max_or_nan, verify_block_diagonal
 from schurkit.operators import collective_unitary
 from schurkit.qtypes import (
     entropy,
@@ -99,8 +99,8 @@ def test_criterion_02_duality_sweep():
                 u = haar_unitary(rng, d)
                 s = random_permutation(rng, n)
                 report = verify_block_diagonal(u, s, d, n)
-                worst_leak = max(worst_leak, report.leakage)
-                worst_res = max(worst_res, report.worst_factor_residual)
+                worst_leak = max_or_nan([worst_leak, report.leakage])
+                worst_res = max_or_nan([worst_res, report.worst_factor_residual])
             cases += 1
             n += 1
         d += 1

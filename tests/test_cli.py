@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -170,6 +171,18 @@ def test_cg_over_the_dense_cap_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "exceeds cap" in err
+
+
+def test_concentrate_over_the_dense_cap_exits_1_at_once(tmp_path, capsys):
+    # the (6, 4) pair state at n = 10 would be 8100 x 8100, past the cap
+    bell = state_file(tmp_path, np.array([1, 0, 0, 1]) / np.sqrt(2))
+    t = time.perf_counter()
+    code, out, err = run(capsys, "concentrate", "--n", "10", "--state", bell)
+    assert time.perf_counter() - t < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "SCHURKIT_DENSE_CAP" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_usage_error_exits_64(capsys):

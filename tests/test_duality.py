@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from conftest import haar_unitary, random_permutation
 
+from schurkit import duality_checks
 from schurkit.characters import young_orthogonal
+from schurkit.cli import main
 from schurkit.combinatorics import dim_p, dim_q, enumerate_partitions
 from schurkit.duality_checks import (
     rep_matrix_p,
@@ -16,7 +18,7 @@ from schurkit.duality_checks import (
 from schurkit.permutations import all_permutations, compose
 from schurkit.operators import collective_unitary, permutation_action
 from schurkit.qtypes import sector_distribution
-from schurkit.schur_transform import schur, schur_unitary
+from schurkit.schur_transform import SchurTransform, schur, schur_unitary
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (3, 3), (3, 4), (2, 10), (32, 2)])
@@ -75,6 +77,42 @@ def test_verify_block_diagonal_peaks_within_two_and_a_half_work_arrays(d, n, rng
         tracemalloc.stop()
     work = 16 * d ** (2 * n)  # one complex D x D array
     assert peak <= 2.5 * work, f"peak {peak} B is {peak / work:.2f} complex D x D arrays"
+
+
+def test_one_dimensional_sectors_build_no_youngs_form(monkeypatch, rng):
+    # (3, 2) has only the sectors (2) and (1, 1), both with dim_p = 1
+    def refuse(lam, s):
+        raise AssertionError(f"young_orthogonal{lam, s} called")
+
+    monkeypatch.setattr(duality_checks, "young_orthogonal", refuse)
+    report = verify_block_diagonal(haar_unitary(rng, 3), (2, 1), 3, 2)
+    assert report.factor_residuals == {(2,): 0.0, (1, 1): 0.0}
+
+
+# at (3, 3) the sectors are (3), (2, 1) and (1, 1, 1), with dim_p 1, 2 and 1;
+# each entry sits in a part that is not the first one read
+NAN_ENTRIES = {
+    "off_block": lambda sec: (sec[2, 1][0].start, sec[1, 1, 1][0].start),
+    "dim_p_1_block": lambda sec: (sec[1, 1, 1][0].start,) * 2,
+    "dim_p_2_block": lambda sec: (sec[2, 1][0].start + 1, sec[2, 1][0].start),
+}
+
+
+@pytest.mark.parametrize("where", sorted(NAN_ENTRIES))
+def test_nan_in_the_conjugate_fails_the_report_and_the_cli(where, monkeypatch, rng, capsys):
+    conjugate = SchurTransform.conjugate
+
+    def poisoned(self, x, perm=None):
+        w = conjugate(self, x, perm=perm)
+        w[NAN_ENTRIES[where](self.codec.sectors)] = np.nan
+        return w
+
+    monkeypatch.setattr(SchurTransform, "conjugate", poisoned)
+    tol = 1e-10
+    report = verify_block_diagonal(haar_unitary(rng, 3), (2, 3, 1), 3, 3, tol=tol)
+    assert not (report.leakage < tol and report.worst_factor_residual < 10 * tol)
+    assert main(["verify", "--d", "3", "--n", "3", "--trials", "2", "--tol", str(tol)]) == 2
+    capsys.readouterr()
 
 
 def test_verify_rejects_non_unitary():

@@ -157,6 +157,19 @@ def test_concentrate_matches_a_dense_reference(rng, d, n):
     assert abs(report.off_diagonal_mass - max(0.0, 1.0 - total)) <= 1e-12
 
 
+def test_concentrate_checks_its_pair_states_against_the_dense_cap(monkeypatch):
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
+    # lam = (6, 4) at (2, 10) has dim_p = 90, so its pair state is 8100 x 8100
+    with pytest.raises(ValueError, match="SCHURKIT_DENSE_CAP"):
+        concentrate(bell, 10)
+    # (4, 2) at (2, 6) has dim_p = 9: a pair state of 81 x 81 against d^n = 64
+    monkeypatch.setenv("SCHURKIT_DENSE_CAP", "64")
+    with pytest.raises(ValueError, match="exceeds cap"):
+        concentrate(bell, 6)
+    monkeypatch.setenv("SCHURKIT_DENSE_CAP", "81")
+    assert concentrate(bell, 6).pair_states[4, 2].matrix.shape == (81, 81)
+
+
 def test_concentrate_validates_input():
     with pytest.raises(ValueError):
         concentrate(np.ones(3), 2)  # not a two-party state

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,6 +154,42 @@ def test_selection_rules_scan_only_rows_that_can_change(d, max_size):
                 for mupp in enumerate_partitions(d - 1, m) if m and d > 1 else [()]:
                     assert _valid_rows(mu, mupp, d) == _full_scan_rows(mu, mupp, d)
                     assert _valid_cols(mu, mupp, d) == _full_scan_cols(mu, mupp, d)
+
+
+def _fraction_wigner(mu, j, mup, jp, d):
+    """_reduced_wigner's product formula with the ratio taken as an exact
+    Fraction before the one rounding to float."""
+    if d == 1:
+        return 1.0
+    mt = [x + d - i for i, x in enumerate(pad(mu, d), 1)]
+    mpt = [x + d - 1 - i for i, x in enumerate(pad(mup, d - 1), 1)]
+    den = math.prod(mt[j - 1] - mt[s] for s in range(d) if s != j - 1)
+    if jp == 0:
+        num = math.prod(mt[j - 1] - mpt[s] for s in range(d - 1))
+        return math.sqrt(abs(Fraction(num, den)))
+    sign_part = math.prod(mpt[jp - 1] - mt[t] + 1 for t in range(d) if t != j - 1)
+    num = sign_part * math.prod(mt[j - 1] - mpt[s] for s in range(d - 1) if s != jp - 1)
+    den *= math.prod(mpt[jp - 1] - mpt[t] + 1 for t in range(d - 1) if t != jp - 1)
+    value = math.sqrt(abs(Fraction(num, den)))
+    return -value if sign_part < 0 else value
+
+
+def test_reduced_wigner_float_ratio_is_the_fraction_ratio(monkeypatch):
+    # int / int is correctly rounded, as float(Fraction) is, so the two
+    # formulas agree bit for bit on every coefficient a build reads
+    seen = set()
+    formula = wigner._reduced_wigner.__wrapped__
+
+    def record(*key):
+        seen.add(key)
+        return formula(*key)
+
+    monkeypatch.setattr(wigner, "_reduced_wigner", record)
+    for d in range(1, 6):
+        cg_triplets([lam for n in range(6) for lam in enumerate_partitions(d, n)], d)
+    assert len(seen) > 1000
+    for key in seen:
+        assert formula(*key) == _fraction_wigner(*key), key
 
 
 def _shapes(d, max_size):
