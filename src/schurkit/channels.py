@@ -13,7 +13,7 @@ import numpy as np
 
 from .characters import character, young_orthogonal
 from .combinatorics import dim_p, normalize
-from .operators import collective_split, require_dense
+from .operators import collective_split, max_or_nan, require_dense
 from .permutations import all_permutations, conjugacy_classes
 from .schur_transform import schur
 
@@ -111,7 +111,7 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
     codec_b, codec_e, codec_a = (schur(d, n).codec for d in (db, de, da))
     coefficients = {}
     bases = {}
-    residual = 0.0
+    residual = []
     for lam_a, (sl_a, nqa, ka) in codec_a.sectors.items():
         for lam_b, (sl_b, nqb, kb) in codec_b.sectors.items():
             for lam_e, (sl_e, nqe, ke) in codec_e.sectors.items():
@@ -130,10 +130,10 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
                         coefficients[
                             (lam_a, qa + 1, lam_b, lam_e, qb + 1, qe + 1, alpha)
                         ] = complex(c[qb, qe, qa, alpha])
-                residual = max(residual, float(np.abs(w).max()))
+                residual.append(np.abs(w).max())
     # isometry relation: for each lamA, the coefficient matrix
     # [rows (lamB,lamE,qB,qE,alpha)] x [cols qA] has V dagger V = dim_p(lamA) I
-    iso_res = 0.0
+    iso_res = []
     for lam_a, (_, nqa, ka) in codec_a.sectors.items():
         rows = sorted({k[2:] for k in coefficients if k[0] == lam_a})
         v = np.zeros((len(rows), nqa), dtype=complex)
@@ -143,11 +143,11 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
                 continue
             v[index[key[2:]], key[1] - 1] = c
         gram = v.conj().T @ v / ka
-        iso_res = max(iso_res, float(np.abs(gram - np.eye(nqa)).max()))
+        iso_res.append(np.abs(gram - np.eye(nqa)).max())
     return ChannelNormalForm(
         n=n,
         coefficients=coefficients,
         bases=bases,
-        reconstruction_residual=residual,
-        isometry_residual=iso_res,
+        reconstruction_residual=max_or_nan(residual),
+        isometry_residual=max_or_nan(iso_res),
     )

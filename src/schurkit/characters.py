@@ -6,7 +6,9 @@ machinery so they can serve as an independent verification route:
 * ``character`` evaluates irreducible characters by the Murnaghan-Nakayama
   rim-hook recursion (via beta numbers).
 * ``young_orthogonal`` builds the real orthogonal irrep matrix on the YY
-  (standard tableau) basis directly from tableau contents.
+  (standard tableau) basis as a product of adjacent-transposition
+  generators, one cached table per shape, read from the row word of each
+  tableau (the row holding each entry).
 """
 
 from __future__ import annotations
@@ -51,62 +53,43 @@ def character(lam, rho) -> int:
     return total
 
 
-def _box_contents(path) -> list:
-    """Content (column - row, zero-based) of the box added at each step."""
-    contents = []
-    prev = ()
-    for p in path:
-        p = normalize(p)
-        prev_pad = prev + (0,) * (len(p) - len(prev))
-        row = next(i for i in range(len(p)) if p[i] != prev_pad[i])
-        contents.append((p[row] - 1) - row)
-        prev = p
-    return contents
-
-
-def _swap_path(path, k: int):
-    """Path with tableau entries k and k+1 exchanged, or None if invalid
-    (the two boxes share a row or column)."""
-    path = [normalize(p) for p in path]
-    below = path[k - 2] if k >= 2 else ()
-    above = path[k]
-    # new intermediate shape: below + the box that step k+1 added
-    bp = below + (0,) * (len(above) - len(below))
-    mid = path[k - 1] + (0,) * (len(above) - len(path[k - 1]))
-    row_hi = next(i for i in range(len(above)) if above[i] != mid[i])
-    cand = list(bp)
-    cand[row_hi] += 1
-    if any(cand[i] > cand[i - 1] for i in range(1, len(cand))):
-        return None
-    new_mid = normalize(cand)
-    if new_mid == path[k - 1]:
-        return None
-    out = list(path)
-    out[k - 1] = new_mid
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def _adjacent_matrix(lam, k: int) -> np.ndarray:
-    """Young's orthogonal form of the adjacent transposition (k, k+1)."""
-    lam = normalize(lam)
+def _generators(lam) -> tuple:
+    """Read-only Young's orthogonal form of (k, k+1), k = 1..n-1, on
+    enumerate_yy(lam): with r = content(k+1) - content(k), 1/r on the
+    diagonal and sqrt(1 - 1/r^2) at the partner, the tableau whose row word
+    (the row of each entry) has k and k+1 exchanged; it is standard exactly
+    when |r| > 1."""
     paths = enumerate_yy(lam)
-    index = {p: i for i, p in enumerate(paths)}
-    m = np.zeros((len(paths), len(paths)))
-    for i, path in enumerate(paths):
-        contents = _box_contents(path)
-        r = contents[k] - contents[k - 1]  # axial distance between k+1 and k
-        m[i, i] = 1.0 / r
-        swapped = _swap_path(path, k)
-        if swapped is not None:
-            j = index[tuple(normalize(p) for p in swapped)]
-            m[j, i] = np.sqrt(1.0 - 1.0 / r**2)
-    return m
+    # shapes[t, j, i]: length of row i once entries 1..j of tableau t are in
+    # (one row at least, so that the empty shape has its empty row word)
+    shapes = np.zeros((len(paths), size(lam) + 1, len(lam) or 1), dtype=int)
+    for t, path in enumerate(paths):
+        for j, p in enumerate(path, 1):
+            shapes[t, j, : len(p)] = p
+    rows = np.diff(shapes, axis=1).argmax(axis=2)  # the row words
+    # content = column - row, the column read off the row's new length
+    contents = np.take_along_axis(shapes[:, 1:], rows[..., None], axis=2)[..., 0] - 1 - rows
+    index = {word: t for t, word in enumerate(map(tuple, rows.tolist()))}
+    gens = []
+    for k in range(1, size(lam)):
+        r = contents[:, k] - contents[:, k - 1]
+        m = np.zeros((len(paths), len(paths)))
+        np.fill_diagonal(m, 1.0 / r)
+        movable = np.flatnonzero(np.abs(r) > 1)
+        swapped = rows[movable]
+        swapped[:, [k - 1, k]] = swapped[:, [k, k - 1]]
+        partners = [index[word] for word in map(tuple, swapped.tolist())]
+        m[partners, movable] = np.sqrt(1.0 - 1.0 / r[movable] ** 2)
+        m.flags.writeable = False
+        gens.append(m)
+    return tuple(gens)
 
 
 def young_orthogonal(lam, s) -> np.ndarray:
     """Real orthogonal matrix of permutation s on the YY basis of shape lam,
-    ordered as enumerate_yy; a homomorphism for composition s o t."""
+    ordered as enumerate_yy; a homomorphism for composition s o t.  A fresh
+    array: one product with a cached generator per adjacent swap of s."""
     lam = normalize(lam)
     n = size(lam)
     if len(s) != n:
@@ -123,8 +106,9 @@ def young_orthogonal(lam, s) -> np.ndarray:
                 word[i], word[i + 1] = word[i + 1], word[i]
                 swaps.append(i + 1)
                 changed = True
+    gens = _generators(lam)
     m = np.eye(dim_p(lam))
     for k in reversed(swaps):
-        m = m @ _adjacent_matrix(lam, k)
+        m = m @ gens[k - 1]
     return m
 

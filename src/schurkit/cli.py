@@ -29,8 +29,8 @@ from .combinatorics import (
     partition_str,
     weights_of_size,
 )
-from .duality_checks import max_or_nan, verify_block_diagonal
-from .operators import require_dense
+from .duality_checks import verify_block_diagonal
+from .operators import max_or_nan, require_dense
 from .qtypes import (
     compress_rate,
     sector_distribution,

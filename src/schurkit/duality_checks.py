@@ -22,6 +22,7 @@ from .operators import (
     DenseOperator,
     _collective_factors,
     _image_indices,
+    max_or_nan,
     permute_columns_like,
     real_complex_matmul,
     right_multiply_collective,
@@ -101,13 +102,6 @@ class IrrepBlockReport:
     @property
     def worst_factor_residual(self) -> float:
         return max_or_nan(self.factor_residuals.values())
-
-
-def max_or_nan(values) -> float:
-    """The largest of some non-negative floats (0.0 if there are none), or
-    NaN if any of them is NaN.  Python's max drops a NaN that does not come
-    first, since every comparison with NaN is false."""
-    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
 def verify_block_diagonal(u, s, d: int, n: int, tol: float = 1e-10) -> IrrepBlockReport:

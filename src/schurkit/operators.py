@@ -1,6 +1,7 @@
 """Dense operators with labeled bases, plus the basic collective actions on
-(C^d)^n: qudit-permutation matrices and n-fold tensor powers, and the one
-guard on the size of every dense array the package materializes."""
+(C^d)^n: qudit-permutation matrices and n-fold tensor powers, the one guard
+on the size of every dense array the package materializes, and the
+NaN-keeping maximum every report's residuals are taken with."""
 
 from __future__ import annotations
 
@@ -28,6 +29,13 @@ def require_dense(*shape: int) -> None:
             f"dense shape {shape} exceeds cap {cap}; "
             "raise SCHURKIT_DENSE_CAP to override"
         )
+
+
+def max_or_nan(values) -> float:
+    """The largest of some non-negative floats (0.0 if there are none), or
+    NaN if any of them is NaN.  Python's max drops a NaN that does not come
+    first, since every comparison with NaN is false."""
+    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
 class DenseOperator:

@@ -25,7 +25,7 @@ from .combinatorics import (
     schur_poly,
     schur_polys,
 )
-from .operators import DenseOperator, _collective_factors, require_dense
+from .operators import DenseOperator, _collective_factors, max_or_nan, require_dense
 from .schur_transform import schur
 
 
@@ -290,13 +290,10 @@ class ConcentrationReport:
 
     @property
     def distortion_free_residual(self) -> float:
-        worst = 0.0
-        for lam, sv in self.schmidt_values.items():
-            k = dim_p(lam)
-            if k == 0 or len(sv) == 0:
-                continue
-            worst = max(worst, float(np.abs(sv - 1 / math.sqrt(k)).max()))
-        return worst
+        return max_or_nan(
+            np.abs(sv - 1 / math.sqrt(dim_p(lam))).max(initial=0.0)
+            for lam, sv in self.schmidt_values.items()
+        )
 
 
 def concentrate(psi, n: int) -> ConcentrationReport:
@@ -306,6 +303,8 @@ def concentrate(psi, n: int) -> ConcentrationReport:
 
     Outcomes always agree; the conditional paired state is maximally
     entangled across dim_p(lam) levels regardless of psi (distortion-free).
+    A sector whose block is not finite gets the Schmidt values [NaN], so the
+    report fails every tolerance.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     d = int(round(math.sqrt(psi.shape[0])))
@@ -328,6 +327,11 @@ def concentrate(psi, n: int) -> ConcentrationReport:
         w = float((np.abs(block) ** 2).sum())
         report.outcome_weights[lam] = w
         total += w
+        if not np.isfinite(w):
+            # the entries of the conjugate are at most 1 in modulus, so w
+            # overflows only if some entry is not finite
+            report.schmidt_values[lam] = np.array([math.nan])
+            continue
         if w < 1e-300:
             report.schmidt_values[lam] = np.array([])
             continue
@@ -336,11 +340,10 @@ def concentrate(psi, n: int) -> ConcentrationReport:
         pair = np.einsum("apbq->pabq", cond).reshape(np_, nq * nq * np_)
         sv = np.linalg.svd(pair, compute_uv=False)
         report.schmidt_values[lam] = sv
-        rho_pair = np.einsum("apbq,arbs->pqrs", cond, cond.conj()).reshape(
-            np_ * np_, np_ * np_
-        )
-        report.pair_states[lam] = DenseOperator(rho_pair)
-    report.off_diagonal_mass = float(max(0.0, 1.0 - total))
+        # rows (pA, pB), columns (qA, qB): the pair state is x x^dagger
+        x = cond.transpose(1, 3, 0, 2).reshape(np_ * np_, nq * nq)
+        report.pair_states[lam] = DenseOperator(x @ x.conj().T)
+    report.off_diagonal_mass = max_or_nan([1.0 - total])
     return report
 
 
@@ -393,7 +396,7 @@ def compress_rate(r, n: int, rate: float) -> CompressRateRecord:
         effective_rate=eff,
         kept=tuple(kept),
         kept_mass=float(kept_mass),
-        error_mass=float(max(0.0, 1.0 - kept_mass)),
+        error_mass=max_or_nan([1.0 - kept_mass]),
         kept_dimension=kept_dim,
         dimension_ok=kept_dim <= 2.0 ** (n * rate) * (1 + 1e-12),
         error_exponent_bound=bound,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .characters import young_orthogonal
 from .combinatorics import dim_p, enumerate_partitions
-from .operators import DenseOperator, _image_indices, real_complex_matmul, require_dense
+from .operators import DenseOperator, _image_indices, max_or_nan, real_complex_matmul, require_dense
 from .permutations import all_permutations, compose, inverse, perm_index, transposition
 from .schur_transform import schur
 
@@ -139,8 +139,7 @@ def verify_fourier(n: int, trials: int = 0, seed: int = 0) -> FourierReport:
         ]
     else:
         pairs = [(s1, s2) for s1 in perms for s2 in perms]
-    leakage = 0.0
-    residual = 0.0
+    leakage, residual = [], []
     for s1, s2 in pairs:
         w = f.matrix @ left_action(s1, n) @ right_action(s2, n) @ f.matrix.T
         mask = np.ones(w.shape, dtype=bool)
@@ -150,8 +149,9 @@ def verify_fourier(n: int, trials: int = 0, seed: int = 0) -> FourierReport:
             expected = np.kron(
                 d_fix @ young_orthogonal(lam, s1) @ d_fix, young_orthogonal(lam, s2)
             )
-            residual = max(residual, float(np.abs(w[sl, sl] - expected).max()))
-        leakage = max(leakage, float(np.abs(w[mask]).max()) if mask.any() else 0.0)
+            residual.append(np.abs(w[sl, sl] - expected).max())
+        leakage.append(np.abs(w[mask]).max(initial=0.0))
+    leakage, residual = max_or_nan(leakage), max_or_nan(residual)
     return FourierReport(n=n, leakage=leakage, block_residual=residual, pairs_checked=len(pairs))
 
 

@@ -9,8 +9,10 @@ from schurkit.channels import (
     phi_lambda,
 )
 from schurkit.characters import young_orthogonal
+from schurkit.cli import main
 from schurkit.combinatorics import dim_p, enumerate_partitions
 from schurkit.permutations import all_permutations
+from schurkit.schur_transform import SchurTransform
 
 DEPHASING = np.array(
     [[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex
@@ -96,6 +98,27 @@ def test_identity_channel_support():
     for lam_a, _, lam_b, lam_e, _, _, _ in nf.coefficients:
         assert lam_b == lam_a
         assert lam_e == (2,)
+
+
+def test_nan_in_a_schur_apply_fails_the_report_and_the_cli(monkeypatch, capsys):
+    apply = SchurTransform.apply
+    calls = []
+
+    def poisoned(self, x):
+        out = apply(self, x)
+        calls.append(None)
+        if len(calls) % 3 == 0:  # the input axis, third of each decomposition
+            # axes (A, B, E): a = b = 0 and e = 3 lie in the block lamA = lamB
+            # = (2), lamE = (1, 1), which is zero since g = 0 there
+            out[0, 0, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(SchurTransform, "apply", poisoned)
+    tol = 1e-10
+    nf = channel_normal_form(DEPHASING, 2)
+    assert not (nf.reconstruction_residual < tol and nf.isometry_residual < tol)
+    assert main(["channel", "--spec", "dephasing", "--n", "2", "--tol", str(tol)]) == 2
+    capsys.readouterr()
 
 
 def test_channel_normal_form_rejects_non_isometry():

@@ -52,7 +52,7 @@ def test_sign_character():
             assert character((1,) * n, cycle_type(s)) == sign(s)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_young_orthogonal_is_an_orthogonal_representation(n):
     rng = np.random.default_rng(3)
     perms = all_permutations(n)
@@ -65,7 +65,7 @@ def test_young_orthogonal_is_an_orthogonal_representation(n):
             assert np.abs(young_orthogonal(lam, compose(s, t)) - ys @ yt).max() < 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_young_orthogonal_trace_is_the_character(n):
     for lam in enumerate_partitions(n, n):
         for rho, _ in conjugacy_classes(n).items():
@@ -82,3 +82,12 @@ def test_young_orthogonal_trace_is_the_character(n):
 
 def test_identity_representation():
     assert np.array_equal(young_orthogonal((2, 1), identity(3)), np.eye(2))
+
+
+@pytest.mark.parametrize("s", [(1, 2, 3, 4, 5), (2, 1, 3, 4, 5), (5, 3, 1, 4, 2)])
+def test_writing_into_a_result_leaves_the_next_result_unchanged(s):
+    # the generators behind every result are cached and shared
+    first = young_orthogonal((3, 2), s)
+    expected = first.copy()
+    first[...] = 7.0
+    assert np.array_equal(young_orthogonal((3, 2), s), expected)

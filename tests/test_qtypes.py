@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ from conftest import random_state
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schurkit import qtypes
+from schurkit.cli import main
 from schurkit.combinatorics import dim_p, enumerate_partitions, schur_poly
 from schurkit.operators import collective_split
 from schurkit.qtypes import (
@@ -21,7 +24,7 @@ from schurkit.qtypes import (
     trace_bound_checks,
     typical_mass,
 )
-from schurkit.schur_transform import schur_unitary
+from schurkit.schur_transform import SchurTransform, schur_unitary
 
 
 def test_entropy_and_divergence_basics():
@@ -170,6 +173,27 @@ def test_concentrate_checks_its_pair_states_against_the_dense_cap(monkeypatch):
     assert concentrate(bell, 6).pair_states[4, 2].matrix.shape == (81, 81)
 
 
+def test_nan_in_the_conjugate_fails_concentration_and_the_cli(monkeypatch, tmp_path, capsys):
+    conjugate = SchurTransform.conjugate
+
+    def poisoned(self, x, perm=None):
+        w = conjugate(self, x, perm=perm)
+        w[0, 0] = np.nan
+        return w
+
+    monkeypatch.setattr(SchurTransform, "conjugate", poisoned)
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
+    report = concentrate(bell, 3)  # a failed report, not an SVD error
+    assert not report.distortion_free_residual < 1e-10
+    assert not report.off_diagonal_mass < 1e-10
+    state = tmp_path / "bell.json"
+    state.write_text(
+        json.dumps({"rows": 4, "cols": 1, "data": [[x, 0.0] for x in bell.tolist()]})
+    )
+    assert main(["concentrate", "--n", "3", "--state", str(state)]) == 2
+    capsys.readouterr()
+
+
 def test_concentrate_validates_input():
     with pytest.raises(ValueError):
         concentrate(np.ones(3), 2)  # not a two-party state
@@ -189,6 +213,19 @@ def test_compress_rate_above_entropy_eventually_keeps_everything_typical():
 def test_compress_rate_below_entropy_fails():
     record = compress_rate((0.5, 0.5), 24, 0.3)
     assert record.error_mass > 0.5
+
+
+def test_a_nan_sector_mass_is_a_nan_error_mass(monkeypatch):
+    masses = qtypes.sector_distribution
+
+    def poisoned(r, n):
+        dist = masses(r, n)
+        dist[next(iter(dist))] = math.nan
+        return dist
+
+    monkeypatch.setattr(qtypes, "sector_distribution", poisoned)
+    # the poisoned first shape, (12), has entropy 0, so it is kept
+    assert math.isnan(compress_rate((0.9, 0.1), 12, 1.0).error_mass)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import haar_unitary, random_state
 
+from schurkit import sn_fourier
 from schurkit.combinatorics import dim_p, enumerate_partitions, gz_weight
 from schurkit.permutations import all_permutations, compose, inverse
 from schurkit.schur_transform import (
@@ -88,6 +89,22 @@ def test_fourier_block_diagonalizes_both_regular_actions():
     assert report.pairs_checked == 36
     assert report.leakage < 1e-12
     assert report.block_residual < 1e-12
+
+
+def test_nan_in_the_fourier_transform_fails_the_report(monkeypatch):
+    qft = sn_fourier.sn_qft_from_schur
+
+    def poisoned(n):
+        f, layout = qft(n)
+        f.matrix = f.matrix.copy()
+        f.matrix[5, 4] = np.nan
+        return f, layout
+
+    monkeypatch.setattr(sn_fourier, "sn_qft_from_schur", poisoned)
+    report = verify_fourier(3)
+    # row 5 of every conjugate is NaN, inside and outside its block
+    assert not report.leakage < 1e-12
+    assert not report.block_residual < 1e-12
 
 
 def test_fourier_rejects_negative_trials():
