@@ -112,7 +112,10 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
     coefficients = {}
     bases = {}
     residual = []
+    iso_res = []
     for lam_a, (sl_a, nqa, ka) in codec_a.sectors.items():
+        # the coefficient blocks of lamA, rows (qB, qE, alpha) and columns qA
+        v = [np.zeros((0, nqa))]
         for lam_b, (sl_b, nqb, kb) in codec_b.sectors.items():
             for lam_e, (sl_e, nqe, ke) in codec_e.sectors.items():
                 t = conj[sl_b, sl_e, sl_a].reshape(nqb, kb, nqe, ke, nqa, ka)
@@ -122,28 +125,22 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
                     key3 = (lam_a, lam_b, lam_e)
                     if key3 not in bases:
                         bases[key3] = invariant_basis(lam_a, lam_b, lam_e)
-                    v = np.array(bases[key3]).reshape(-1, w.shape[1])
-                    c = w @ v.T
-                    w = w - c @ v
-                    c = c.reshape(nqb, nqe, nqa, len(v))
-                    for qb, qe, qa, alpha in np.argwhere(np.abs(c) > 1e-14).tolist():
+                    basis = np.array(bases[key3]).reshape(-1, w.shape[1])
+                    c = w @ basis.T
+                    w = w - c @ basis
+                    c = c.reshape(nqb, nqe, nqa, len(basis))
+                    mag = np.abs(c)
+                    c[mag <= 1e-14] = 0
+                    for qb, qe, qa, alpha in np.argwhere(mag > 1e-14).tolist():
                         coefficients[
                             (lam_a, qa + 1, lam_b, lam_e, qb + 1, qe + 1, alpha)
                         ] = complex(c[qb, qe, qa, alpha])
+                    v.append(c.transpose(0, 1, 3, 2).reshape(-1, nqa))
                 residual.append(np.abs(w).max())
-    # isometry relation: for each lamA, the coefficient matrix
-    # [rows (lamB,lamE,qB,qE,alpha)] x [cols qA] has V dagger V = dim_p(lamA) I
-    iso_res = []
-    for lam_a, (_, nqa, ka) in codec_a.sectors.items():
-        rows = sorted({k[2:] for k in coefficients if k[0] == lam_a})
-        v = np.zeros((len(rows), nqa), dtype=complex)
-        index = {r: i for i, r in enumerate(rows)}
-        for key, c in coefficients.items():
-            if key[0] != lam_a:
-                continue
-            v[index[key[2:]], key[1] - 1] = c
-        gram = v.conj().T @ v / ka
-        iso_res.append(np.abs(gram - np.eye(nqa)).max())
+        # isometry relation: the coefficient matrix [rows (lamB, lamE, qB,
+        # qE, alpha)] x [cols qA] has V dagger V = dim_p(lamA) I
+        v = np.concatenate(v)
+        iso_res.append(np.abs(v.conj().T @ v / ka - np.eye(nqa)).max())
     return ChannelNormalForm(
         n=n,
         coefficients=coefficients,

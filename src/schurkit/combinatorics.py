@@ -112,29 +112,45 @@ def interlacing_partitions(lam, rows: int) -> list:
     return [normalize(mu) for mu in product(*ranges)]
 
 
-def add_box(lam, d: int) -> list:
-    """All partitions of at most d rows obtained by adding one box to lam,
-    ordered by the row index receiving the box."""
+def _grown(lam, d: int) -> list:
+    """(j, lam + e_j) for each row j = 1, 2, ... of the partition lam that
+    can take a box within d rows: the first row, and each later row shorter
+    than the row above it, up to the first empty row.  The one statement of
+    the add-a-box branching rule: add_box, the CG build and the selection
+    rules of the reduced Wigner coefficients all read it."""
     rows = len(normalize(lam))
     lam = pad(lam, d)
-    out = []
     # past row rows + 1, lam + e_j is not a partition
-    for j in range(min(d, rows + 1)):
-        cand = lam[:j] + (lam[j] + 1,) + lam[j + 1:]
-        if is_partition(cand):
-            out.append(normalize(cand))
-    return out
+    return [
+        (j + 1, normalize(lam[:j] + (lam[j] + 1,) + lam[j + 1 :]))
+        for j in range(min(d, rows + 1))
+        if j == 0 or lam[j - 1] > lam[j]
+    ]
+
+
+def _shrunk(lam) -> list:
+    """(j, lam - e_j) for each row j = 1, 2, ... of the partition lam that
+    can lose a box: each row longer than the row below it, the last row
+    always.  The remove-a-box rule that remove_box and that_matrix read."""
+    lam = normalize(lam)
+    below = lam[1:] + (0,)
+    return [
+        (j + 1, normalize(lam[:j] + (lam[j] - 1,) + lam[j + 1 :]))
+        for j in range(len(lam))
+        if lam[j] > below[j]
+    ]
+
+
+def add_box(lam, d: int) -> list:
+    """All partitions of at most d rows obtained by adding one box to lam,
+    ordered by the row index receiving the box (the shapes of _grown)."""
+    return [lp for _, lp in _grown(lam, d)]
 
 
 def remove_box(lam) -> list:
-    """All partitions obtained by removing one box, ordered by row index."""
-    lam = normalize(lam)
-    out = []
-    for j in range(len(lam)):
-        cand = lam[:j] + (lam[j] - 1,) + lam[j + 1:]
-        if is_partition(cand):
-            out.append(normalize(cand))
-    return out
+    """All partitions obtained by removing one box, ordered by row index
+    (the shapes of _shrunk)."""
+    return [lm for _, lm in _shrunk(lam)]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +362,6 @@ def weights_of_size(d: int, n: int) -> list:
     return out[::-1]
 
 
-@lru_cache(maxsize=None)
 def kostka(lam, mu) -> int:
     """Number of GZ patterns of shape lam and weight mu (semistandard
     fillings of shape lam with content mu)."""

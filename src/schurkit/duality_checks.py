@@ -80,9 +80,10 @@ def _rows_of_s(t, lam, qis, paths: int) -> np.ndarray:
 
 
 def _irrep_block(xr, rows) -> DenseOperator:
-    """rows x rows^T from xr = rows x, labeled 1, 2, ..."""
+    """rows x rows^T from xr = rows x, labeled 1, 2, ..., as the transpose
+    of the real-by-complex product rows xr^T."""
     labels = list(range(1, len(rows) + 1))
-    return DenseOperator(real_complex_matmul(xr, rows.T), row_labels=labels, col_labels=labels)
+    return DenseOperator(real_complex_matmul(rows, xr.T).T, row_labels=labels, col_labels=labels)
 
 
 @dataclass

@@ -164,20 +164,12 @@ def right_multiply_collective(matrix: np.ndarray, u: np.ndarray, n: int) -> np.n
 
 def real_complex_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """np.matmul(a, b, out=out) for matrices, vectors or stacks of blocks.
-    With exactly one complex factor the real one is never promoted: real a
-    times complex b is one real GEMM on b's float64 view, and complex a
-    times real b is its transpose, (b^T a^T)^T."""
+    Real a times complex b is one real GEMM on b's float64 view, so the real
+    factor is never promoted; every other pair goes to np.matmul.  A caller
+    with complex a and real b takes the transpose, (b^T a^T)^T."""
     a, b = np.asarray(a), np.asarray(b)
-    if (a.dtype.kind == "c") == (b.dtype.kind == "c"):
+    if a.dtype.kind == "c" or b.dtype.kind != "c":
         return np.matmul(a, b, out=out)
-    if a.dtype.kind == "c":
-        # the transpose of each block; a vector is its own
-        t = lambda m: np.swapaxes(m, -1, -2) if m.ndim > 1 else m
-        res = t(real_complex_matmul(t(b), t(a)))
-        if out is None:
-            return res
-        out[...] = res
-        return out
     # the float64 views of b and out hold the real and imaginary part of each
     # column (a vector is one column) as two adjacent real columns
     vec = b.ndim == 1

@@ -16,9 +16,16 @@ products and takes the positive root.  This convention makes every assembled
 CG block exactly unitary and reproduces the standard two-level (singlet /
 triplet) matrices; see tests for the independent spectral-projector oracle.
 
+The selection rules are the branching rule, stated once in combinatorics:
+_grown(mu, d) lists the rows j that can take a box, _shrunk the rows that
+can lose one, and a coefficient is nonzero only when mu' interlaces mu and
+mu' + e_j' interlaces mu + e_j.  is_structural_zero, the build and
+that_matrix all read these lists.
+
 cg_triplets assembles the rank-d block from these coefficients and the
 rank-(d-1) blocks; that_matrix is the d x d view of the coefficients for
-fixed (mu, mu'').  A block is kept only as its coupling triplets: the (row,
+fixed (mu, mu''), its rows from _grown(mu, d) and its columns from mu'' and
+_shrunk(mu'').  A block is kept only as its coupling triplets: the (row,
 column, value) of every nonzero entry, rows ascending.  Input patterns
 q = q' + (lam,) come in runs of equal q_{d-1} = mu.  Qudit value d leaves q'
 alone (j' = 0, mu'' = mu); a value i < d couples q' through the rank-(d-1)
@@ -37,7 +44,9 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import (
+    _grown,
     _shifted,
+    _shrunk,
     add_box,
     dim_q,
     enumerate_gz,
@@ -54,23 +63,15 @@ def is_structural_zero(mu, j: int, mup, jp: int, d: int) -> bool:
     """True when the selection rules force the coefficient to vanish, so the
     product formula is never evaluated (avoids 0/0).
 
-    Required: mu' interlaces mu, mu + e_j is a partition, mu' + e_{j'} is a
-    partition (j' >= 1), and mu' + e_{j'} interlaces mu + e_j.
+    Required: mu' interlaces mu, row j of mu and row j' of mu' (j' >= 1)
+    can take a box, and mu' + e_{j'} interlaces mu + e_j.
     """
-    mu = pad(mu, d)
-    mup = pad(mup, d - 1) if d > 1 else ()
-    if not interlaces(mup, mu):
+    lam = dict(_grown(mu, d)).get(j)
+    # j' = 0 puts the box on the last level: mu'' = mu'
+    mupp = dict([(0, normalize(mup))] + _grown(mup, d - 1)).get(jp)
+    if lam is None or mupp is None:
         return True
-    new_mu = list(mu)
-    new_mu[j - 1] += 1
-    if not is_partition(new_mu):
-        return True
-    new_mup = list(mup)
-    if jp >= 1:
-        new_mup[jp - 1] += 1
-        if not is_partition(new_mup):
-            return True
-    return not interlaces(tuple(new_mup), tuple(new_mu))
+    return not (interlaces(mup, mu) and interlaces(mupp, lam))
 
 
 def reduced_wigner(mu, j: int, mup, jp: int, d: int) -> float:
@@ -128,36 +129,6 @@ def _reduced_wigner(mu, j: int, mup, jp: int, d: int) -> float:
     return -value if sign_part < 0 else value
 
 
-def _valid_rows(mu, mupp, d: int) -> list:
-    out = []
-    # past row len(mu) + 1, mu + e_j is not a partition
-    for j in range(1, min(d, len(mu) + 1) + 1):
-        cand = list(pad(mu, d))
-        cand[j - 1] += 1
-        if is_partition(cand) and interlaces(mupp, normalize(cand)):
-            out.append(j)
-    return out
-
-
-def _valid_cols(mu, mupp, d: int) -> list:
-    """(j', mu') pairs consistent with second-level result mu''."""
-    out = []
-    mupp_p = pad(mupp, d - 1)
-    # past row len(mu''), mu'' - e_j' is not a partition
-    for jp in range(0, min(d - 1, len(mupp)) + 1):
-        if jp == 0:
-            mup = normalize(mupp)
-        else:
-            cand = list(mupp_p)
-            cand[jp - 1] -= 1
-            if not is_partition(cand):
-                continue
-            mup = normalize(cand)
-        if len(mup) <= d - 1 and interlaces(mup, mu):
-            out.append((jp, mup))
-    return out
-
-
 def that_matrix(mu, mupp, d: int) -> DenseOperator:
     """The d x d reduced-coefficient matrix for fixed (mu, mu''), rows
     labeled j = 1..d and columns j' = 0..d-1.
@@ -168,10 +139,12 @@ def that_matrix(mu, mupp, d: int) -> DenseOperator:
     the k-th forbidden row with the k-th forbidden column, so the full
     operator is unitary.
     """
-    mu = normalize(mu)
-    mupp = normalize(mupp)
-    rows = _valid_rows(mu, mupp, d)
-    cols = _valid_cols(mu, mupp, d)
+    mu, mupp = normalize(mu), normalize(mupp)
+    # row j: mu + e_j, if mu'' interlaces it; column j': mu' = mu'' - e_j'
+    # (j' = 0: mu'' itself), if it interlaces mu
+    rows = [j for j, lam in _grown(mu, d) if interlaces(mupp, lam)]
+    cols = [(0, mupp)] + _shrunk(pad(mupp, d - 1))
+    cols = [(jp, mup) for jp, mup in cols if interlaces(mup, mu)]
     if not cols:
         raise ValueError(f"no consistent branch for mu={mu}, mu''={mupp}")
     if len(rows) != len(cols):
@@ -234,37 +207,35 @@ def _cg_triplets(lam, d: int, lower: dict) -> tuple:
     rank d - 1 for every mu interlacing lam."""
     if d == 1:
         return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.ones(1)
+    grown = _grown(lam, d)
     # first row of each run of equal q_{d-1} = mu'' among the rows of lam + e_j
     run, start = {}, 0
-    for lp in add_box(lam, d):
+    for _, lp in grown:
         for mupp in interlacing_partitions(lp, d - 1):
             run[lp, mupp] = start
             start += dim_q(mupp, d - 1)
-    lam_p, col, chunks = pad(lam, d), 0, []
-    # lam + e_j for each j, up to the last row that can take a box
-    grown = [
-        normalize(lam_p[:j] + (lam_p[j] + 1,) + lam_p[j + 1 :])
-        for j in range(min(d, len(lam) + 1))
-    ]
+    col, chunks = 0, []
     for mu in interlacing_partitions(lam, d - 1):
         k = dim_q(mu, d - 1)
         cols = col + np.arange(k * d).reshape(k, d)
         col += k * d
-        # (mu'', j', rows within the run, columns, values) of each outcome
-        parts, mu_p = [(mu, 0, np.arange(k), cols[:, -1], np.ones(k))], pad(mu, d - 1)
+        # (mu'', j', rows within the run, columns, values) of each outcome;
+        # the outcomes mu'' = mu + e_j' of mu's block follow in _grown order
+        parts, lo = [(mu, 0, np.arange(k), cols[:, -1], np.ones(k))], 0
         rows, lower_cols, vals = lower[mu]
-        for mupp, sl in cg_output_blocks(mu, d - 1):
-            jp = 1 + [a > b for a, b in zip(pad(mupp, d - 1), mu_p)].index(True)
-            a, b = np.searchsorted(rows, (sl.start, sl.stop))
+        for jp, mupp in _grown(mu, d - 1):
+            hi = lo + dim_q(mupp, d - 1)
+            a, b = np.searchsorted(rows, (lo, hi))
             idx = cols[:, :-1].ravel()[lower_cols[a:b]]
-            parts.append((mupp, jp, rows[a:b] - sl.start, idx, vals[a:b]))
+            parts.append((mupp, jp, rows[a:b] - lo, idx, vals[a:b]))
+            lo = hi
         for mupp, jp, r, c, v in parts:
             # mu interlaces lam and mu'' = mu + e_j', so every lam + e_j that
             # mu'' interlaces gives a pair that obeys the selection rules
-            for j, lp in enumerate(grown):
+            for j, lp in grown:
                 r0 = run.get((lp, mupp))
                 if r0 is not None:
-                    chunks.append((r0 + r, c, _reduced_wigner(lam, j + 1, mu, jp, d) * v))
+                    chunks.append((r0 + r, c, _reduced_wigner(lam, j, mu, jp, d) * v))
     # a run holds the outcomes of several mu, each at its own columns, so
     # every entry is written once
     rows, cols, vals = (np.concatenate(a) for a in zip(*chunks))

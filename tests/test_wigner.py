@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import schurkit
 from schurkit import wigner
 from schurkit.combinatorics import (
+    _grown,
+    _shrunk,
     add_box,
     dim_q,
     enumerate_gz,
@@ -24,8 +26,6 @@ from schurkit.combinatorics import (
 )
 from schurkit.schur_transform import SchurTransform
 from schurkit.wigner import (
-    _valid_cols,
-    _valid_rows,
     cg_block,
     cg_output_blocks,
     cg_triplets,
@@ -94,13 +94,13 @@ def test_that_matrix_is_orthogonal_property(args):
         t = that_matrix(mu, mupp, d).matrix
     except ValueError:
         return  # no consistent branch for this pair
-    rows = [j - 1 for j in _valid_rows(mu, mupp, d)]
-    cols = [jp for jp, _ in _valid_cols(mu, mupp, d)]
+    rows = [j - 1 for j in _full_scan_rows(mu, mupp, d)]
+    cols = [jp for jp, _ in _full_scan_cols(mu, mupp, d)]
     valid = t[np.ix_(rows, cols)]
     assert np.abs(valid.T @ valid - np.eye(len(rows))).max() < 1e-12
     assert np.abs(t.T @ t - np.eye(d)).max() < 1e-12
-    for j in _valid_rows(mu, mupp, d):
-        for jp, mup in _valid_cols(mu, mupp, d):
+    for j in _full_scan_rows(mu, mupp, d):
+        for jp, mup in _full_scan_cols(mu, mupp, d):
             assert t[j - 1, jp] == reduced_wigner(mu, j, mup, jp, d)
 
 
@@ -118,7 +118,8 @@ def test_cascade_never_calls_that_matrix(monkeypatch):
 
 
 def _full_scan_rows(mu, mupp, d):
-    """_valid_rows scanning every row j = 1..d."""
+    """The rows j = 1..d of that_matrix(mu, mupp, d) that the selection rules
+    allow (mu + e_j a partition that mu'' interlaces), scanning every row."""
     out = []
     for j in range(1, d + 1):
         cand = list(pad(mu, d))
@@ -129,7 +130,9 @@ def _full_scan_rows(mu, mupp, d):
 
 
 def _full_scan_cols(mu, mupp, d):
-    """_valid_cols scanning every column j' = 0..d-1."""
+    """The (j', mu') columns of that_matrix(mu, mupp, d) that the selection
+    rules allow (mu' = mu'' - e_j', or mu'' at j' = 0, a partition of at most
+    d - 1 rows that interlaces mu), scanning every column j' = 0..d-1."""
     out = []
     mupp_p = pad(mupp, d - 1)
     for jp in range(0, d):
@@ -146,14 +149,82 @@ def _full_scan_cols(mu, mupp, d):
     return out
 
 
+def _full_scan_grown(lam, d):
+    """(j, lam + e_j) for every row j = 1..d where that is a partition."""
+    out = []
+    for j in range(1, d + 1):
+        cand = list(pad(lam, d))
+        cand[j - 1] += 1
+        if is_partition(cand):
+            out.append((j, normalize(cand)))
+    return out
+
+
+def _full_scan_shrunk(lam):
+    """(j, lam - e_j) for every row j of lam where that is a partition."""
+    out = []
+    for j in range(1, len(lam) + 1):
+        cand = list(lam)
+        cand[j - 1] -= 1
+        if is_partition(cand):
+            out.append((j, normalize(cand)))
+    return out
+
+
 @pytest.mark.parametrize("d,max_size", [(2, 5), (3, 5), (4, 4), (5, 4), (8, 3), (16, 2), (32, 2)])
 def test_selection_rules_scan_only_rows_that_can_change(d, max_size):
+    """_grown and _shrunk, which stop at the first empty row and skip rows
+    equal to their neighbour, list the same moves as a scan over every row,
+    and so give that_matrix the rows and columns the full scans allow."""
     for n in range(max_size + 1):
         for mu in enumerate_partitions(d, n) if n else [()]:
+            assert _grown(mu, d) == _full_scan_grown(mu, d)
+            assert _shrunk(mu) == _full_scan_shrunk(mu)
             for m in (n, n + 1):
                 for mupp in enumerate_partitions(d - 1, m) if m and d > 1 else [()]:
-                    assert _valid_rows(mu, mupp, d) == _full_scan_rows(mu, mupp, d)
-                    assert _valid_cols(mu, mupp, d) == _full_scan_cols(mu, mupp, d)
+                    assert _grown(mupp, d - 1) == _full_scan_grown(mupp, d - 1)
+                    assert _shrunk(mupp) == _full_scan_shrunk(mupp)
+                    rows = [j for j, lam in _grown(mu, d) if interlaces(mupp, lam)]
+                    cols = [(0, mupp)] + _shrunk(mupp)
+                    cols = [(jp, mup) for jp, mup in cols if interlaces(mup, mu)]
+                    assert rows == _full_scan_rows(mu, mupp, d)
+                    assert cols == _full_scan_cols(mu, mupp, d)
+
+
+def _padded_structural_zero(mu, j, mup, jp, d):
+    """is_structural_zero by editing padded lists: mu' interlaces mu,
+    mu + e_j and mu' + e_j' are partitions, and the second interlaces the
+    first."""
+    mu = pad(mu, d)
+    mup = pad(mup, d - 1) if d > 1 else ()
+    if not interlaces(mup, mu):
+        return True
+    new_mu = list(mu)
+    new_mu[j - 1] += 1
+    if not is_partition(new_mu):
+        return True
+    new_mup = list(mup)
+    if jp >= 1:
+        new_mup[jp - 1] += 1
+        if not is_partition(new_mup):
+            return True
+    return not interlaces(tuple(new_mup), tuple(new_mu))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_structural_zeros_match_the_padded_list_rules(d):
+    seen = set()
+    for n in range(5):
+        for mu in enumerate_partitions(d, n):
+            for m in (n - 1, n, n + 1):
+                for mup in enumerate_partitions(d - 1, m) if m > 0 and d > 1 else [()]:
+                    for j in range(1, d + 1):
+                        for jp in range(d):
+                            zero = is_structural_zero(mu, j, mup, jp, d)
+                            assert zero == _padded_structural_zero(mu, j, mup, jp, d)
+                            seen.add(zero)
+    # at d = 1 every shape is one row and every coefficient is 1
+    assert seen == ({False} if d == 1 else {True, False})
 
 
 def _fraction_wigner(mu, j, mup, jp, d):
