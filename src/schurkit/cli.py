@@ -21,6 +21,7 @@ import numpy as np
 
 from .channels import channel_normal_form, kronecker
 from .combinatorics import (
+    count_partitions,
     dim_p,
     dim_q,
     enumerate_partitions,
@@ -109,67 +110,132 @@ def table_document(columns, rows, scalars=None) -> dict:
     }
 
 
-def _spelled_entries(doc: dict, spell) -> np.ndarray:
-    """The (rows, cols) object array of a matrix document's entries: spell
-    maps the distinct [re, im] pairs of the data (one per bit pattern, as a
-    (k, 2) float64 array, [0.0, 0.0] first) to their k spellings."""
-    bits = doc["data"].view(np.int64)
-    live = bits != 0  # only the words with a bit set are sorted; -0.0 has one
-    distinct, which = np.unique(bits[live], return_inverse=True)
-    base = len(distinct) + 1
-    words = np.zeros(bits.shape, np.int64)
-    words[live] = which + 1
-    keys = words[:, 0] * base + words[:, 1]
-    live = keys != 0
-    kinds, which = np.unique(keys[live], return_inverse=True)
-    codes = np.zeros(len(keys), np.intp)
-    codes[live] = which + 1
-    kinds = np.concatenate([[0], kinds])
-    values = np.concatenate([[0.0], distinct.view(np.float64)])
-    pairs = np.stack([values[kinds // base], values[kinds % base]], axis=1)
-    spelled = np.array(spell(pairs), dtype=object)
-    return spelled[codes].reshape(doc["rows"], doc["cols"])
+# entries per written piece of a matrix document: each piece is whole rows,
+# so the document's text is never held whole
+_BLOCK = 1 << 18
 
 
-_PAIR = "    [\n      %s,\n      %s\n    ]"
+def _matrix_pieces(doc: dict, head: str, tail: str, block_text):
+    """Yield a matrix document's text one block of whole rows (about _BLOCK
+    entries) at a time.  block_text(rows, pairs) gives the strings that spell
+    one block, rows its range of row indices and pairs its (m, 2) float64
+    [re, im] pairs.  head is glued onto the first piece and tail onto the
+    last, so a document of one block is one string."""
+    rows, cols = doc["rows"], doc["cols"]
+    step = max(1, _BLOCK // max(cols, 1))
+    parts = [head]
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        parts += block_text(range(start, stop), doc["data"][start * cols : stop * cols])
+        if stop < rows:
+            # hold no reference to a piece once yielded, nor to its parts
+            parts = ["".join(parts)]
+            yield parts.pop()
+    parts.append(tail)
+    yield "".join(parts)
+
+
+def _distinct_pairs(pairs: np.ndarray):
+    """(live, which, distinct) for an (m, 2) float64 block of [re, im] pairs:
+    live indexes the entries with a bit set (-0.0 has one), distinct is a
+    (k + 1, 2) float64 array of [0.0, 0.0] and their k distinct bit
+    patterns, and entry live[i] is distinct[which[i]]."""
+    bits = pairs.view(np.int64)
+    live = ((bits[:, 0] | bits[:, 1]) != 0).nonzero()[0]
+    re, which = np.unique(bits[live, 0], return_inverse=True)
+    im = np.zeros_like(re)
+    if bits[live, 1].any():  # pair the two indices; a real block skips these sorts
+        im, im_which = np.unique(bits[live, 1], return_inverse=True)
+        keys, which = np.unique(which * len(im) + im_which, return_inverse=True)
+        re, im = re[keys // len(im)], im[keys % len(im)]
+    distinct = np.stack([np.append(0, re), np.append(0, im)], axis=1)
+    return live, which.ravel() + 1, distinct.view(np.float64)
+
+
+def _spelled_entries(pairs: np.ndarray, spell) -> np.ndarray:
+    """The (m,) object array of one block's spelled entries: spell maps the
+    distinct [re, im] pairs (a (k, 2) float64 array, [0.0, 0.0] first) to
+    their k spellings."""
+    live, which, distinct = _distinct_pairs(pairs)
+    codes = np.zeros(len(pairs), np.intp)
+    codes[live] = which
+    return np.array(spell(distinct), dtype=object)[codes]
+
+
+_PAIR = "    [\n      %s,\n      %s\n    ],\n"
 
 
 def _json_pairs(pairs: np.ndarray) -> list:
     """The pairs as the C encoder spells them (-0.0, NaN and Infinity as
-    json does), each in its indent=2 list form."""
-    words = json.dumps(pairs.ravel().tolist())[1:-1].split(", ")
-    return [_PAIR % pair for pair in zip(words[::2], words[1::2])]
+    json does), each in its indent=2 list form followed by ",\n"; each
+    distinct float is spelled once."""
+    words, which = np.unique(pairs.view(np.int64).ravel(), return_inverse=True)
+    words = json.dumps(words.view(np.float64).tolist())[1:-1].split(", ")
+    return [_PAIR % (words[a], words[b]) for a, b in which.reshape(-1, 2).tolist()]
 
 
-def _matrix_json(doc: dict) -> str:
-    """json.dumps(doc, indent=2) for a matrix document, without the
-    pure-Python encoder that indent selects: each distinct [re, im] pair of
-    the data is spelled once and the entries are joined in order."""
+def _json_entries(pairs: np.ndarray, last: bool) -> list:
+    """The indent=2 spellings of one block's entries, each followed by
+    ",\n" but the document's last (if last): one string per nonzero entry
+    and one per run of zero entries between them."""
+    live, which, distinct = _distinct_pairs(pairs)
+    spelled = np.array(_json_pairs(distinct), dtype=object)
+    zero = spelled[0]
+    gaps = np.diff(live, prepend=-1, append=len(pairs)) - 1
+    runs = np.empty(gaps.max() + 1, dtype=object)
+    lengths = np.bincount(gaps).nonzero()[0]
+    runs[lengths] = np.array([zero * k for k in lengths.tolist()], dtype=object)
+    parts = np.empty(2 * len(gaps) - 1, dtype=object)
+    parts[0::2] = runs[gaps]
+    parts[1::2] = spelled[which]
+    parts = parts.tolist()
+    if last:
+        if not parts[-1]:
+            parts.pop()
+        parts[-1] = parts[-1][:-2]
+    return parts
+
+
+def _matrix_json(doc: dict):
+    """json.dumps(doc, indent=2) + "\n" for a matrix document, a block of
+    rows at a time, without the pure-Python encoder that indent selects:
+    each block spells its distinct [re, im] pairs once."""
     # "data" follows kind, rows and cols, so its null is the first one
-    head = json.dumps({**doc, "data": None}, indent=2)
+    head, tail = json.dumps({**doc, "data": None}, indent=2).split('"data": null', 1)
     if not doc["data"].size:
-        return head.replace('"data": null', '"data": []', 1)
-    body = ",\n".join(_spelled_entries(doc, _json_pairs).ravel().tolist())
-    return head.replace('"data": null', '"data": [\n' + body + "\n  ]", 1)
+        yield head + '"data": []' + tail + "\n"
+        return
+    yield from _matrix_pieces(
+        doc,
+        head + '"data": [\n',
+        "\n  ]" + tail + "\n",
+        lambda rows, pairs: _json_entries(pairs, rows.stop == doc["rows"]),
+    )
 
 
 def _emit(doc: dict, fmt: str, out) -> None:
+    """Write the document in fmt to the file out (atomically: a temporary
+    file beside it, renamed over it once whole) or to stdout."""
     if fmt == "json" and doc["kind"] == "matrix":
-        text = _matrix_json(doc) + "\n"
+        pieces = _matrix_json(doc)
     elif fmt == "json":
-        text = json.dumps(doc, indent=2) + "\n"
+        pieces = [json.dumps(doc, indent=2) + "\n"]
     elif fmt == "csv":
-        text = _to_csv(doc)
+        pieces = _to_csv(doc)
     else:
-        text = _to_text(doc)
-    if out:
-        directory = os.path.dirname(os.path.abspath(out))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".schurkit-")
+        pieces = _to_text(doc)
+    if not out:
+        sys.stdout.writelines(pieces)
+        return
+    directory = os.path.dirname(os.path.abspath(out))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".schurkit-")
+    try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, out)
-    else:
-        sys.stdout.write(text)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cell(v) -> str:
@@ -178,34 +244,46 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _to_csv(doc: dict) -> str:
+def _to_csv(doc: dict):
     if doc["kind"] == "matrix":
         # one "row,col,re,im" line per entry, the pair spelled with repr (as
         # _num) where json says NaN
-        rows, cols = doc["rows"], doc["cols"]
-        cells = np.empty((rows, cols, 3), dtype=object)
-        cells[..., 0] = np.array([f"{i}," for i in range(rows)], dtype=object)[:, None]
-        cells[..., 1] = np.array([f"{j}," for j in range(cols)], dtype=object)
-        cells[..., 2] = _spelled_entries(
-            doc, lambda pairs: [f"{re!r},{im!r}\n" for re, im in pairs.tolist()]
-        )
-        return "row,col,re,im\n" + "".join(cells.ravel().tolist())
+        cols = doc["cols"]
+        col_cells = np.array([f"{j}," for j in range(cols)], dtype=object)
+
+        def block_text(rows, pairs):
+            cells = np.empty((len(rows), cols, 3), dtype=object)
+            cells[..., 0] = np.array([f"{i}," for i in rows], dtype=object)[:, None]
+            cells[..., 1] = col_cells
+            cells[..., 2] = _spelled_entries(
+                pairs, lambda pairs: [f"{re!r},{im!r}\n" for re, im in pairs.tolist()]
+            ).reshape(len(rows), cols)
+            return cells.ravel().tolist()
+
+        yield from _matrix_pieces(doc, "row,col,re,im\n", "", block_text)
+        return
     lines = [f"# {name}={_cell(value)}" for name, value in doc["scalars"].items()]
     lines.append(",".join(doc["columns"]))
     for row in doc["rows"]:
         lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
 
 
-def _to_text(doc: dict) -> str:
+def _to_text(doc: dict):
     if doc["kind"] == "matrix":
-        entries = _spelled_entries(doc, lambda pairs: [
-            f"{re:+.6f}{im:+.6f}j" if im else f"{re:+.6f}" for re, im in pairs.tolist()
-        ])
-        lines = [f"matrix {doc['rows']} x {doc['cols']}"]
-        for label, cells in zip(doc["row_labels"], entries.tolist()):
-            lines.append(f"{label:>24} | " + " ".join(cells))
-        return "\n".join(lines) + "\n"
+        labels, cols = doc["row_labels"], doc["cols"]
+
+        def block_text(rows, pairs):
+            entries = _spelled_entries(pairs, lambda pairs: [
+                f"{re:+.6f}{im:+.6f}j" if im else f"{re:+.6f}" for re, im in pairs.tolist()
+            ])
+            return [
+                f"{labels[i]:>24} | {' '.join(cells)}\n"
+                for i, cells in zip(rows, entries.reshape(len(rows), cols).tolist())
+            ]
+
+        yield from _matrix_pieces(doc, f"matrix {doc['rows']} x {cols}\n", "", block_text)
+        return
     widths = [len(c) for c in doc["columns"]]
     rows = [[_cell(v) for v in row] for row in doc["rows"]]
     for row in rows:
@@ -215,7 +293,7 @@ def _to_text(doc: dict) -> str:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     for name, value in doc["scalars"].items():
         lines.append(f"{name} = {_cell(value)}")
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -255,6 +333,7 @@ def _parse_probs(text: str) -> tuple:
 
 
 def _cmd_dims(args):
+    require_dense(count_partitions(args.d, args.n))
     rows = []
     total = 0
     for lam in enumerate_partitions(args.d, args.n):
@@ -336,6 +415,7 @@ def _cmd_verify(args):
 
 def _cmd_rho(args):
     r = _parse_probs(args.r)
+    require_dense(count_partitions(len(r), args.n))
     dist = sector_distribution(r, args.n)
     rows = [
         [partition_str(lam), dim_q(lam, len(r)), dim_p(lam), w]
@@ -403,6 +483,7 @@ def _cmd_compress(args):
 
 def _cmd_typebounds(args):
     r = _parse_probs(args.r)
+    require_dense(count_partitions(len(r), args.n))
     rows = []
     ok = True
     for rec in trace_bound_checks(r, args.n):
@@ -612,10 +693,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         doc, code = args.func(args)
+        _emit(doc, args.format, args.out)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    _emit(doc, args.format, args.out)
     return code
 
 

@@ -89,6 +89,19 @@ def enumerate_partitions(d: int, n: int) -> list:
     return [normalize(p) for p in gen(n, d, n)] if n > 0 else [()]
 
 
+def count_partitions(d: int, n: int) -> int:
+    """len(enumerate_partitions(d, n)) without listing them (0 for n < 0):
+    the partitions of n into parts of size at most d, their conjugates,
+    counted by the recurrence p(n, <=k) = p(n, <=k-1) + p(n-k, <=k)."""
+    if n < 0:
+        return 0
+    ways = [1] + [0] * n
+    for part in range(1, min(d, n) + 1):
+        for m in range(part, n + 1):
+            ways[m] += ways[m - part]
+    return ways[n]
+
+
 def interlaces(mu, lam) -> bool:
     """lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... (mu sits between consecutive
     rows of lam; equivalently lam/mu removes at most one box per column)."""

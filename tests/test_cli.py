@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import time
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurkit import cli
 from schurkit.cli import _build_parser, _emit, _num, main, matrix_document
 from schurkit.combinatorics import _branching_plan, enumerate_partitions, partition_str
 from schurkit.qtypes import trace_bound_check
@@ -105,6 +108,87 @@ def test_out_flag_writes_atomically(tmp_path, capsys):
     jsonschema.validate(json.loads(target.read_text()), SCHEMA)
 
 
+def test_out_into_a_missing_directory_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "doc.json"
+    code, out, err = run(
+        capsys, "schur", "--d", "2", "--n", "2", "--format", "json", "--out", str(target)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not target.parent.exists()
+
+
+def test_a_write_failing_part_way_leaves_the_target_untouched(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "doc.json"
+    target.write_text("kept\n")
+    real_fdopen = os.fdopen
+
+    class FullDisk:
+        """The file mkstemp opened, refusing every piece after the first."""
+
+        def __init__(self, fd, mode):
+            self.fh = real_fdopen(fd, mode)
+            self.pieces = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, pieces):
+            for piece in pieces:
+                if self.pieces:
+                    raise OSError(28, "No space left on device")
+                self.fh.write(piece)
+                self.pieces += 1
+
+    monkeypatch.setattr(cli, "_BLOCK", 4)
+    monkeypatch.setattr(cli.os, "fdopen", FullDisk)
+    code, out, err = run(
+        capsys, "schur", "--d", "2", "--n", "3", "--format", "json", "--out", str(target)
+    )
+    assert code == 1 and out == ""
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert target.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_out_writes_the_bytes_of_stdout(tmp_path, capsys, monkeypatch, fmt):
+    argv = ("schur", "--d", "3", "--n", "4", "--format", fmt)
+    whole = run(capsys, *argv)[1]
+    # 81 x 81 entries in blocks of 12 rows: seven pieces
+    monkeypatch.setattr(cli, "_BLOCK", 1000)
+    target = tmp_path / "doc"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == whole
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == whole.encode()
+
+
+class _Sink:
+    """A stdout that counts what is written and keeps none of it."""
+
+    def writelines(self, pieces):
+        self.size = sum(map(len, pieces))
+
+
+def test_emit_holds_one_block_of_text_at_a_time():
+    # the (2,10) JSON document is 35.9 MB, a block of 2^18 entries 9.4 MB
+    args = _build_parser().parse_args(["schur", "--d", "2", "--n", "10"])
+    doc, _ = args.func(args)
+    sink = _Sink()
+    with contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            _emit(doc, "json", None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sink.size > 35e6 and peak < 16e6, (sink.size, peak)
+
+
 def test_csv_output(capsys):
     code, out, _ = run(capsys, "rho", "--r", "0.5,0.5", "--n", "2", "--format", "csv")
     assert code == 0
@@ -171,6 +255,16 @@ def test_cg_over_the_dense_cap_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "exceeds cap" in err
+
+
+def test_dims_past_the_cap_exits_1_at_once(capsys):
+    # p(40) = 37338 rows, counted before any is listed
+    t = time.perf_counter()
+    code, out, err = run(capsys, "dims", "--d", "40", "--n", "40")
+    assert time.perf_counter() - t < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "SCHURKIT_DENSE_CAP" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_concentrate_over_the_dense_cap_exits_1_at_once(tmp_path, capsys):
@@ -267,9 +361,22 @@ def _matrices(draw):
     return matrix if len(parts) == 2 else matrix.real, draw(labels), list(range(cols))
 
 
+# entries per written piece: one, a size that splits rows of 2 to 4 entries
+# into blocks of fewer whole rows, and the default (one piece per document)
+_BLOCKS = st.sampled_from([1, 7, cli._BLOCK])
+
+
+def _emitted(doc, fmt, block=cli._BLOCK):
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(buf):
+        mp.setattr(cli, "_BLOCK", block)
+        _emit(doc, fmt, None)
+    return buf.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
-@given(_matrices())
-def test_matrix_json_is_the_indented_dump(case):
+@given(_matrices(), _BLOCKS)
+def test_matrix_json_is_the_indented_dump(case, block):
     matrix, row_labels, col_labels = case
     doc = matrix_document(matrix, row_labels, col_labels)
     # the data are the [re, im] pairs of the entries, bit for bit
@@ -278,23 +385,14 @@ def test_matrix_json_is_the_indented_dump(case):
         np.array(doc["data"]).reshape(-1, 2).view(np.int64),
         np.array(pairs).reshape(-1, 2).view(np.int64),
     )
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        _emit(doc, "json", None)
+    text = _emitted(doc, "json", block)
     doc["data"] = doc["data"].tolist()
-    assert buf.getvalue() == json.dumps(doc, indent=2) + "\n"
-
-
-def _emitted(doc, fmt):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        _emit(doc, fmt, None)
-    return buf.getvalue()
+    assert text == json.dumps(doc, indent=2) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
-@given(_matrices())
-def test_matrix_csv_and_table_are_the_per_entry_loops(case):
+@given(_matrices(), _BLOCKS)
+def test_matrix_csv_and_table_are_the_per_entry_loops(case, block):
     matrix, row_labels, col_labels = case
     doc = matrix_document(matrix, row_labels, col_labels)
     assert doc["data"].dtype == np.float64
@@ -303,14 +401,14 @@ def test_matrix_csv_and_table_are_the_per_entry_loops(case):
     lines = ["row,col,re,im"]
     for k, (re, im) in enumerate(data):
         lines.append(f"{k // cols},{k % cols},{_num(re)},{_num(im)}")
-    assert _emitted(doc, "csv") == "\n".join(lines) + "\n"
+    assert _emitted(doc, "csv", block) == "\n".join(lines) + "\n"
     lines = [f"matrix {doc['rows']} x {cols}"]
     for i in range(doc["rows"]):
         cells = []
         for re, im in data[i * cols : (i + 1) * cols]:
             cells.append(f"{re:+.6f}{im:+.6f}j" if im else f"{re:+.6f}")
         lines.append(f"{doc['row_labels'][i]:>24} | " + " ".join(cells))
-    assert _emitted(doc, "table") == "\n".join(lines) + "\n"
+    assert _emitted(doc, "table", block) == "\n".join(lines) + "\n"
 
 
 def test_the_parser_is_built_once():

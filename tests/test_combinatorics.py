@@ -11,6 +11,7 @@ from schurkit.combinatorics import (
     _branching_plan,
     _gz_weights,
     add_box,
+    count_partitions,
     dim_p,
     dim_q,
     enumerate_gz,
@@ -56,6 +57,17 @@ def test_enumerate_partitions_counts():
     assert len(enumerate_partitions(2, 5)) == 3
     assert len(enumerate_partitions(3, 6)) == 7
     assert [normalize(l) == l for l in enumerate_partitions(4, 6)]
+
+
+@pytest.mark.parametrize("d", range(0, 7))
+def test_count_partitions_is_the_length_of_the_list(d):
+    for n in range(-2, 15):
+        listed = len(enumerate_partitions(d, n)) if d >= 1 and n >= 0 else None
+        expected = listed if listed is not None else int(n == 0)
+        assert count_partitions(d, n) == expected, (d, n)
+    # p(40) = 37338 and p(100) = 190569292
+    assert count_partitions(40, 40) == count_partitions(1000, 40) == 37338
+    assert count_partitions(100, 100) == 190569292
 
 
 def test_enumerate_partitions_order_is_stable_and_dominance_compatible():
