@@ -349,13 +349,12 @@ def _cmd_dims(args):
 
 
 def _cmd_kostka(args):
-    lams = (
-        [parse_partition(args.lam)]
-        if args.lam
-        else enumerate_partitions(args.d, args.n)
-    )
-    # one column per weight: C(n + d - 1, d - 1) of them
-    require_dense(len(lams), math.comb(args.n + args.d - 1, args.d - 1))
+    lams = [parse_partition(args.lam)] if args.lam else None
+    # one row per shape and one column per weight, C(n + d - 1, d - 1) of
+    # them, both counted before any is listed
+    shapes = len(lams) if lams else count_partitions(args.d, args.n)
+    require_dense(shapes, math.comb(args.n + args.d - 1, args.d - 1))
+    lams = lams or enumerate_partitions(args.d, args.n)
     weights = weights_of_size(args.d, args.n)
     rows = [
         [partition_str(lam)] + [kostka(lam, mu) for mu in weights] for lam in lams

@@ -86,7 +86,9 @@ def enumerate_partitions(d: int, n: int) -> list:
             for rest in gen(remaining - first, rows - 1, first):
                 yield (first,) + rest
 
-    return [normalize(p) for p in gen(n, d, n)] if n > 0 else [()]
+    # every part is at least ceil(remaining / rows) >= 1, so each tuple is
+    # already canonical, and gen(0, ...) yields ()
+    return list(gen(n, d, n))
 
 
 def count_partitions(d: int, n: int) -> int:

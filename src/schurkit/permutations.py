@@ -3,7 +3,9 @@
 A permutation s of [n] is a tuple (s(1), ..., s(n)) of the values 1..n.
 ``all_permutations(n)`` enumerates them in lexicographic one-line order;
 that enumeration fixes the index <-> permutation bijection used by the
-group-algebra register everywhere in the package.
+group-algebra register everywhere in the package.  Lexicographic order is
+ascending base-n value of the word s(1) - 1, ..., s(n) - 1, so a
+permutation's group-algebra index is its word's rank by base-n value.
 """
 
 from __future__ import annotations
@@ -67,24 +69,6 @@ def transposition(n: int, k: int) -> tuple:
 def all_permutations(n: int) -> tuple:
     """All of S_n in lexicographic one-line order."""
     return tuple(itertools.permutations(range(1, n + 1)))
-
-
-def perm_index(s) -> int:
-    """Position of s in all_permutations(len(s)) without building the list:
-    the factorial number system rank of the one-line word."""
-    n = len(s)
-    remaining = list(range(1, n + 1))
-    idx = 0
-    fact = 1
-    for i in range(2, n):
-        fact *= i
-    for i in range(n - 1):
-        pos = remaining.index(s[i])
-        idx += pos * fact
-        remaining.pop(pos)
-        if n - 2 - i > 0:
-            fact //= n - 1 - i
-    return idx
 
 
 def conjugacy_classes(n: int) -> dict:

@@ -30,7 +30,7 @@ from .combinatorics import (
 )
 from .operators import (
     DenseOperator,
-    permutation_action,
+    _image_indices,
     real_complex_matmul,
     require_dense,
 )
@@ -73,10 +73,17 @@ class SchurLabelCodec:
         return self.sectors[lam]
 
     def index(self, lam, qi: int, pi: int) -> int:
-        rows, _, np_ = self.sector(lam)
+        """Row of (lam, qi, pi); ValueError unless 1 <= qi <= dim_q and
+        1 <= pi <= dim_p."""
+        rows, nq, np_ = self.sector(lam)
+        if not (1 <= qi <= nq and 1 <= pi <= np_):
+            raise ValueError(f"(q, p) must lie in 1..{nq} x 1..{np_} for {lam}, got {qi, pi}")
         return rows.start + (qi - 1) * np_ + (pi - 1)
 
     def label(self, row: int) -> tuple:
+        """(lam, qi, pi) of a row; ValueError unless 0 <= row < d^n."""
+        if not 0 <= row < len(self.triples):
+            raise ValueError(f"row must lie in 0..{len(self.triples) - 1}, got {row}")
         return self.triples[row]
 
     def block_slice(self, lam) -> slice:
@@ -261,10 +268,11 @@ class SchurTransform:
     def sector_rows(self, lam, qi: int) -> tuple:
         """The dim_p rows (lam, qi, 1..dim_p) of S, consecutive rows of the
         block of their weight, restricted to that block's columns, and those
-        columns; qi is an index in [1, dim_q(lam)]."""
-        _, _, np_ = self.codec.sector(lam)
+        columns; ValueError unless qi is an index in [1, dim_q(lam)], which
+        the codec checks before a weight is picked."""
+        first, np_ = self.codec.index(lam, qi, 1), self.codec.sector(lam)[2]
         rows, cols, block = self.by_weight[_gz_weights(normalize(lam), self.codec.d)[qi - 1]]
-        top = np.searchsorted(rows, self.codec.index(lam, qi, 1))
+        top = np.searchsorted(rows, first)
         return block[top : top + np_], cols
 
     @property
@@ -399,7 +407,7 @@ def measure_schur(state, d: int, n: int, granularity: str = "lambda") -> dict:
 
 def central_projector_oracle(lam, d: int, n: int) -> DenseOperator:
     """Isotypic projector onto the lam sector of (C^d)^n, built purely from
-    symmetric-group characters and qudit-permutation matrices:
+    symmetric-group characters and qudit-permutation index maps:
 
         (dim_p(lam) / n!) * sum_s chi_lam(cycle_type(s)) P(s)
 
@@ -410,10 +418,12 @@ def central_projector_oracle(lam, d: int, n: int) -> DenseOperator:
     dim = d**n
     require_dense(dim)
     acc = np.zeros((dim, dim))
+    cols = np.arange(dim)
     for s in all_permutations(n):
         chi = character(lam, cycle_type(s))
         if chi:
-            acc += chi * permutation_action(s, d)
+            # P(s) has its one 1 of column i in row _image_indices(s, d)[i]
+            acc[_image_indices(s, d), cols] += chi
     acc *= dim_p(lam) / math.factorial(n)
     return DenseOperator(acc, row_labels=list(range(dim)), col_labels=list(range(dim)))
 

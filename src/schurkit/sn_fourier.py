@@ -25,7 +25,7 @@ import numpy as np
 from .characters import young_orthogonal
 from .combinatorics import dim_p, enumerate_partitions
 from .operators import DenseOperator, _image_indices, max_or_nan, real_complex_matmul, require_dense
-from .permutations import all_permutations, compose, inverse, perm_index, transposition
+from .permutations import all_permutations, identity, transposition
 from .schur_transform import schur
 
 
@@ -66,23 +66,15 @@ def sn_qft_from_schur(n: int):
     return op, layout
 
 
-def left_action(s, n: int) -> np.ndarray:
-    """Permutation matrix of |t> -> |s t> on the group algebra."""
-    size = math.factorial(n)
-    m = np.zeros((size, size))
-    for k, t in enumerate(all_permutations(n)):
-        m[perm_index(compose(s, t)), k] = 1.0
-    return m
-
-
-def right_action(s, n: int) -> np.ndarray:
-    """Permutation matrix of |t> -> |t s^-1> on the group algebra."""
-    sinv = inverse(s)
-    size = math.factorial(n)
-    m = np.zeros((size, size))
-    for k, t in enumerate(all_permutations(n)):
-        m[perm_index(compose(t, sinv)), k] = 1.0
-    return m
+def _regular_indices(s1, s2, n: int) -> np.ndarray:
+    """idx[k] = index of s1 t_k s2^-1, t_k the k-th entry of
+    all_permutations(n): L(s1) R(s2) on the group algebra as a column
+    gather, F L(s1) R(s2) = F[:, idx].  Lexicographic order is ascending
+    base-n value, so a word's index is its rank among those values."""
+    perms = np.array(all_permutations(n)) - 1
+    words = (np.asarray(s1) - 1)[perms[:, np.argsort(s2)]]
+    values = n ** np.arange(n - 1, -1, -1)
+    return np.searchsorted(perms @ values, words @ values)
 
 
 def _alignment_signs(f: np.ndarray, layout: FourierBlockLayout, n: int) -> dict:
@@ -90,13 +82,14 @@ def _alignment_signs(f: np.ndarray, layout: FourierBlockLayout, n: int) -> dict:
     Young's orthogonal representation, computed once from the left action of
     adjacent transpositions and then frozen."""
     signs = {}
-    gens = [(s, left_action(s, n)) for s in (transposition(n, g) for g in range(1, n))]
+    gens = [transposition(n, g) for g in range(1, n)]
+    gens = [(s, _regular_indices(s, identity(n), n)) for s in gens]
     for lam, sl in layout.blocks:
         k = dim_p(lam)
         # each generator's multiplicity-register factor and Young matrix
         pairs = []
-        for s, m in gens:
-            blk = (f[sl, :] @ m @ f[sl, :].T).reshape(k, k, k, k)
+        for s, idx in gens:
+            blk = (f[sl][:, idx] @ f[sl].T).reshape(k, k, k, k)
             pairs.append((np.einsum("apbp->ab", blk) / k, young_orthogonal(lam, s)))
         fix = np.zeros(k)
         fix[0] = 1.0
@@ -141,7 +134,7 @@ def verify_fourier(n: int, trials: int = 0, seed: int = 0) -> FourierReport:
         pairs = [(s1, s2) for s1 in perms for s2 in perms]
     leakage, residual = [], []
     for s1, s2 in pairs:
-        w = f.matrix @ left_action(s1, n) @ right_action(s2, n) @ f.matrix.T
+        w = f.matrix[:, _regular_indices(s1, s2, n)] @ f.matrix.T
         mask = np.ones(w.shape, dtype=bool)
         for lam, sl in layout.blocks:
             mask[sl, sl] = False

@@ -267,6 +267,16 @@ def test_dims_past_the_cap_exits_1_at_once(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_kostka_past_the_cap_exits_1_at_once(capsys):
+    # p(50) = 204226 shapes, counted before any is listed
+    t = time.perf_counter()
+    code, out, err = run(capsys, "kostka", "--d", "60", "--n", "50")
+    assert time.perf_counter() - t < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "(204226, " in err
+    assert len(err.splitlines()) == 1
+
+
 def test_concentrate_over_the_dense_cap_exits_1_at_once(tmp_path, capsys):
     # the (6, 4) pair state at n = 10 would be 8100 x 8100, past the cap
     bell = state_file(tmp_path, np.array([1, 0, 0, 1]) / np.sqrt(2))

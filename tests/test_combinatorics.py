@@ -56,7 +56,8 @@ def test_enumerate_partitions_counts():
     # partitions of n into at most d parts
     assert len(enumerate_partitions(2, 5)) == 3
     assert len(enumerate_partitions(3, 6)) == 7
-    assert [normalize(l) == l for l in enumerate_partitions(4, 6)]
+    assert all(normalize(l) == l for l in enumerate_partitions(4, 6))
+    assert enumerate_partitions(3, 0) == [()]
 
 
 @pytest.mark.parametrize("d", range(0, 7))

@@ -13,7 +13,6 @@ from schurkit.permutations import (
     cycle_type,
     identity,
     inverse,
-    perm_index,
     sign,
     transposition,
 )
@@ -58,8 +57,6 @@ def test_all_permutations_and_index():
         perms_n = all_permutations(n)
         assert len(perms_n) == math.factorial(n)
         assert list(perms_n) == sorted(perms_n)  # lexicographic one-line order
-        for k, s in enumerate(perms_n):
-            assert perm_index(s) == k
 
 
 def test_conjugacy_class_sizes():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from schurkit import schur_transform, wigner
 from schurkit.channels import channel_normal_form
+from schurkit.characters import character
 from schurkit.combinatorics import (
     dim_p,
     dim_q,
@@ -22,7 +24,8 @@ from schurkit.duality_checks import (
     rho_blocks,
     verify_block_diagonal,
 )
-from schurkit.operators import dense_cap
+from schurkit.operators import dense_cap, permutation_action
+from schurkit.permutations import all_permutations, cycle_type
 from schurkit.qtypes import concentrate, sector_distribution
 from schurkit.schur_transform import (
     SchurLabelCodec,
@@ -97,6 +100,22 @@ def test_weight_classes_group_the_patterns_by_gz_weight(d, n):
             assert ks.tolist() == [k for k, v in enumerate(weights) if v == w]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: t.sector_rows((3, 1), 0),
+        lambda t: t.codec.index((3, 1), 0, 1),
+        lambda t: t.sector_rows((3, 1), 4),
+        lambda t: t.codec.label(-1),
+    ],
+    ids=["sector-rows-q0", "index-q0", "sector-rows-q4", "label-minus-1"],
+)
+def test_codec_rejects_indices_out_of_range(call):
+    # (3, 1) at d = 2 has dim_q = dim_p = 3, and S(2, 4) has 16 rows
+    with pytest.raises(ValueError, match="must lie in"):
+        call(schur(2, 4))
+
+
 def test_codec_is_a_bijection_with_contiguous_blocks():
     d, n = 3, 4
     codec = SchurLabelCodec(d, n)
@@ -122,6 +141,23 @@ def test_projectors_match_character_oracle(d, n):
         projector = rows.T @ rows
         oracle = central_projector_oracle(lam, d, n)
         assert np.abs(projector - oracle.matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "d,n", [(1, 3), (2, 3), (3, 3), (2, 5), (3, 4), pytest.param(2, 7, marks=pytest.mark.slow)]
+)
+def test_projector_oracle_is_the_dense_character_sum(d, n):
+    """Reference: (dim_p / n!) sum_s chi(s) P(s) with every P(s) a dense
+    permutation matrix, summed class by class.  Before the scale every entry
+    is a sum of integers, exact in any order, so the match is bitwise."""
+    classes = {}
+    for s in all_permutations(n):
+        mu = cycle_type(s)
+        classes[mu] = classes.get(mu, 0) + permutation_action(s, d)
+    for lam in enumerate_partitions(n, n):
+        expected = sum(character(lam, mu) * p for mu, p in classes.items())
+        expected *= dim_p(lam) / math.factorial(n)
+        assert np.array_equal(central_projector_oracle(lam, d, n).matrix, expected), lam
 
 
 def test_measure_schur_matches_projector_masses(rng):

@@ -14,10 +14,9 @@ from schurkit.schur_transform import (
     schur_unitary,
 )
 from schurkit.sn_fourier import (
+    _regular_indices,
     gpe_instrument,
     gpe_measure,
-    left_action,
-    right_action,
     sn_qft_from_schur,
     verify_fourier,
 )
@@ -72,16 +71,28 @@ def test_qft_is_the_embedded_group_algebra_block_of_schur(n):
     assert np.array_equal(sn_qft_from_schur(n)[0].matrix, expected)
 
 
-def test_left_right_actions_commute_and_compose():
-    n = 3
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_regular_indices_are_the_two_regular_actions(n):
+    """Reference built from scratch: the k-th entry is the position of
+    s1 t_k s2^-1 in all_permutations(n), found by lookup in the list."""
     perms = all_permutations(n)
-    for s in perms:
-        for t in perms:
-            ls, lt = left_action(s, n), left_action(t, n)
-            rs, rt = right_action(s, n), right_action(t, n)
-            assert np.array_equal(ls @ lt, left_action(compose(s, t), n))
-            assert np.array_equal(rs @ rt, right_action(compose(s, t), n))
-            assert np.array_equal(ls @ rt, rt @ ls)
+    where = {t: k for k, t in enumerate(perms)}
+    idx = {}
+    for s1 in perms:
+        for s2 in perms:
+            idx[s1, s2] = _regular_indices(s1, s2, n)
+            expected = [where[compose(compose(s1, t), inverse(s2))] for t in perms]
+            assert idx[s1, s2].tolist() == expected
+    if n > 3:
+        return
+    # L and R are commuting homomorphisms: the gathers compose
+    e = perms[0]
+    for s1, s2 in idx:
+        assert np.array_equal(idx[s1, e][idx[e, s2]], idx[e, s2][idx[s1, e]])
+        for t1, t2 in idx:
+            assert np.array_equal(
+                idx[compose(s1, t1), compose(s2, t2)], idx[s1, s2][idx[t1, t2]]
+            )
 
 
 def test_fourier_block_diagonalizes_both_regular_actions():
@@ -89,6 +100,28 @@ def test_fourier_block_diagonalizes_both_regular_actions():
     assert report.pairs_checked == 36
     assert report.leakage < 1e-12
     assert report.block_residual < 1e-12
+
+
+def test_fourier_exhaustive_n4():
+    report = verify_fourier(4)
+    assert report.pairs_checked == 576
+    assert report.leakage < 1e-12
+    assert report.block_residual < 1e-12
+
+
+def test_one_flipped_sign_in_the_fourier_transform_fails_the_report(monkeypatch):
+    qft = sn_fourier.sn_qft_from_schur
+
+    def flipped(n):
+        f, layout = qft(n)
+        f.matrix = f.matrix.copy()
+        f.matrix[2, 3] *= -1.0
+        return f, layout
+
+    assert qft(3)[0].matrix[2, 3] != 0.0
+    monkeypatch.setattr(sn_fourier, "sn_qft_from_schur", flipped)
+    report = verify_fourier(3)
+    assert report.leakage > 1e-3 and report.block_residual > 1e-3
 
 
 def test_nan_in_the_fourier_transform_fails_the_report(monkeypatch):
