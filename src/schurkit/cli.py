@@ -31,7 +31,7 @@ from .combinatorics import (
     weights_of_size,
 )
 from .duality_checks import verify_block_diagonal
-from .operators import max_or_nan, require_dense
+from .operators import dense_cap, max_or_nan, require_dense
 from .qtypes import (
     compress_rate,
     sector_distribution,
@@ -332,8 +332,20 @@ def _parse_probs(text: str) -> tuple:
 # subcommands (each returns (document, exit code))
 
 
+def _require_shapes(d: int, n: int) -> None:
+    """require_dense for one row per partition of n into at most d parts,
+    counted only until the count passes the cap, so that a refusal is quick
+    and its line short."""
+    cap = dense_cap()
+    if count_partitions(d, n, stop=cap) > cap:
+        raise ValueError(
+            f"more than {cap} partitions of {n} into at most {d} parts exceed "
+            f"cap {cap}; raise SCHURKIT_DENSE_CAP to override"
+        )
+
+
 def _cmd_dims(args):
-    require_dense(count_partitions(args.d, args.n))
+    _require_shapes(args.d, args.n)
     rows = []
     total = 0
     for lam in enumerate_partitions(args.d, args.n):
@@ -414,7 +426,7 @@ def _cmd_verify(args):
 
 def _cmd_rho(args):
     r = _parse_probs(args.r)
-    require_dense(count_partitions(len(r), args.n))
+    _require_shapes(len(r), args.n)
     dist = sector_distribution(r, args.n)
     rows = [
         [partition_str(lam), dim_q(lam, len(r)), dim_p(lam), w]
@@ -482,7 +494,7 @@ def _cmd_compress(args):
 
 def _cmd_typebounds(args):
     r = _parse_probs(args.r)
-    require_dense(count_partitions(len(r), args.n))
+    _require_shapes(len(r), args.n)
     rows = []
     ok = True
     for rec in trace_bound_checks(r, args.n):

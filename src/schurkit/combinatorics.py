@@ -91,16 +91,23 @@ def enumerate_partitions(d: int, n: int) -> list:
     return list(gen(n, d, n))
 
 
-def count_partitions(d: int, n: int) -> int:
+def count_partitions(d: int, n: int, stop: int | None = None) -> int:
     """len(enumerate_partitions(d, n)) without listing them (0 for n < 0):
     the partitions of n into parts of size at most d, their conjugates,
-    counted by the recurrence p(n, <=k) = p(n, <=k-1) + p(n-k, <=k)."""
+    counted by the recurrence p(n, <=k) = p(n, <=k-1) + p(n-k, <=k).
+
+    Once the parts up to k are counted, the count is that of the partitions
+    of n into at most k parts, which only grows with k; given stop, counting
+    ends as soon as the count passes stop, so a result above stop is only a
+    lower bound."""
     if n < 0:
         return 0
     ways = [1] + [0] * n
     for part in range(1, min(d, n) + 1):
         for m in range(part, n + 1):
             ways[m] += ways[m - part]
+        if stop is not None and ways[n] > stop:
+            break
     return ways[n]
 
 

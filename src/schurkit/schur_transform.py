@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -112,48 +111,58 @@ def _pattern_codes(lam, d: int) -> tuple:
     return codes, places
 
 
-def _cg_sub_blocks(mu, d: int, triplets):
-    """The coupling triplets of mu at rank d, grouped by sub-block: one
-    (output class, letter index i, input weight, rows, columns, values)
-    per sub-block.  The output classes number the (shape, weight) pairs of
-    add_box(mu, d) in order, the input weights those of mu, each in
-    _weight_classes order; rows and columns index the dense sub-block
-    (patterns of that shape and weight, patterns of mu of that weight)."""
-    rows, cols, vals = triplets
-    q, i = np.divmod(cols, d)
-    in_codes, q_places = _pattern_codes(mu, d)
-    outs = [_pattern_codes(lp, d) for lp in add_box(mu, d)]
-    shifts = list(accumulate((c.max() + 1 for c, _ in outs), initial=0))
-    out_codes = np.concatenate([c + s for (c, _), s in zip(outs, shifts)])
-    dims = (shifts[-1], d, in_codes.max() + 1)
-    key = np.ravel_multi_index((out_codes[rows], i, in_codes[q]), dims)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    cuts = np.flatnonzero(np.diff(key)) + 1
-    starts, stops = np.r_[0, cuts], np.r_[cuts, len(key)]
-    heads = (h.tolist() for h in np.unravel_index(key[starts], dims))
-    places = np.concatenate([p for _, p in outs])[rows[order]]
-    q_places, vals = q_places[q[order]], vals[order]
-    return [
-        (t, i, s, places[a:b], q_places[a:b], vals[a:b])
-        for t, i, s, a, b in zip(*heads, starts.tolist(), stops.tolist())
-    ]
-
-
-def _shape_views(stacks: list, weights, shapes, d: int) -> dict:
-    """shape -> weight -> the shape's rows of the block of that weight, as a
-    (GZ patterns, paths, words) view, for blocks of the given weights in
-    that order along the stacks, with rows in codec order (shape, GZ
-    pattern, path rank) over shapes in codec order."""
-    blocks = dict(zip(weights, (block for stack in stacks for block in stack)))
-    views, tops = {}, {}
+def _pattern_rows(shapes, code: dict, d: int) -> dict:
+    """shape -> (the number in code of the weight of each of its GZ patterns,
+    the row of the pattern's first path in the block of that weight), in
+    enumerate_gz order, for blocks with rows in codec order (shape, GZ
+    pattern, path rank) over the given shapes in codec order."""
+    tops, out = np.zeros(len(code), dtype=np.intp), {}
     for lam in shapes:
-        views[lam] = {}
-        for w, ks in _weight_classes(lam, d).items():
-            top = tops.get(w, 0)
-            tops[w] = top + len(ks) * dim_p(lam)
-            views[lam][w] = blocks[w][top : tops[w]].reshape(len(ks), dim_p(lam), -1)
-    return views
+        p, classes = dim_p(lam), _weight_classes(lam, d)
+        ws = np.array([code[w] for w in classes])
+        codes, places = _pattern_codes(lam, d)
+        out[lam] = ws[codes], tops[ws[codes]] + places * p
+        tops[ws] += [len(ks) * p for ks in classes.values()]
+    return out
+
+
+# entries that a cascade step gathers, scales and scatters at a time, which
+# bounds the transient of the build
+_PIECE = 1 << 12
+
+
+def _couple(sources: list, grown: np.ndarray, stack, reads, writes: tuple, x, p: int) -> None:
+    """Write into grown the runs that the triplets of one shape couple.
+    Triplet t reads the p rows reads[t] + j of sources[stack[t]], a stack of
+    blocks of size m as a (rows, m) array, and writes x[t] times row j to
+    the m entries of grown from writes[0][t] + j * writes[1][t], for j < p.
+    The triplets go by stack, then target, ties in the given order, so that
+    those with one target (several terms of one CG row) are summed in that
+    order.  They are taken a piece at a time, each piece the whole runs of
+    some targets of one stack: about _PIECE entries, or the runs of one
+    target where those alone are more."""
+    order = np.lexsort((writes[0], stack))
+    stack, reads, x = stack[order], reads[order], x[order, None]
+    starts, steps = writes[0][order], writes[1][order]
+    # the first triplet of each target, and the first target of each piece:
+    # the piece number and the stack never fall, so their sum rises with either
+    heads = np.flatnonzero(np.diff(starts, prepend=-1))
+    widths = np.array([s.shape[1] for s in sources])[stack]
+    tags = ((np.cumsum(widths) - widths) * p // _PIECE + stack)[heads]
+    cuts = np.flatnonzero(np.diff(tags, prepend=-1))
+    bounds, j = heads.tolist() + [len(reads)], np.arange(p)
+    pieces = zip(cuts.tolist(), cuts[1:].tolist() + [len(heads)], stack[heads[cuts]].tolist())
+    for lo, hi, s in pieces:
+        a, b = bounds[lo], bounds[hi]
+        m = sources[s].shape[1]
+        vals = sources[s].take((reads[a:b, None] + j).reshape(-1), axis=0).reshape(b - a, -1)
+        vals *= x[a:b]
+        if hi - lo < b - a:
+            vals = np.add.reduceat(vals, heads[lo:hi] - a, axis=0)
+        # every run of m consecutive entries of grown, as the rows of a view
+        runs = np.ndarray((len(grown) - m + 1, m), grown.dtype, grown, 0, grown.strides * 2)
+        h = heads[lo:hi]
+        runs[(starts[h, None] + j * steps[h, None]).reshape(-1)] = vals.reshape(-1, m)
 
 
 def _cascade_step(stacks: list, words: dict, d: int, k: int, triplets: dict) -> tuple:
@@ -161,25 +170,35 @@ def _cascade_step(stacks: list, words: dict, d: int, k: int, triplets: dict) -> 
     tensor I) from those of S(d, k - 1), popping the triplets of each shape
     of size k - 1 (see SchurTransform)."""
     # the grown words of each content, those of content v followed by letter
-    # i for each i in turn, and the columns of each (content, letter) segment
-    parts, span, width = {}, {}, {}
+    # i for each i in turn, and where each (content, letter) segment lands
+    parts, width, land = {}, {}, {}
     for i in range(d):
         for v, vs in words.items():
             w = v[:i] + (v[i] + 1,) + v[i + 1 :]
-            top = width.get(w, 0)
-            width[w] = top + len(vs)
-            span[w, i] = slice(top, width[w])
+            land[v, i] = w, width.get(w, 0)
+            width[w] = land[v, i][1] + len(vs)
             parts.setdefault(w, []).append(vs * d + i)
     # a block has one row per word of its content; blocks by size, ties in
-    # descending order of the letter counts, one (count, m, m) stack per size m
+    # descending order of the letter counts, one after another in one buffer
     order = sorted(sorted(width, reverse=True), key=width.get)
-    grown = [np.zeros((c, m, m)) for m, c in Counter(map(width.get, order)).items()]
+    code = {w: c for c, w in enumerate(order)}
+    sizes = np.array([width[w] for w in order])
+    starts = np.cumsum(sizes * sizes) - sizes * sizes
+    grown = np.zeros(starts[-1] + sizes[-1] ** 2)
+    # (input weight, letter) -> the output weight and the first column of
+    # the letter's span in its block
+    grow = np.array([[code[land[v, i][0]] for i in range(d)] for v in words])
+    span = np.array([[land[v, i][1] for i in range(d)] for v in words])
+    # each input block's stack and its first row in the stack's rows
+    sources = [s.reshape(-1, s.shape[-1]) for s in stacks]
+    in_stack = np.repeat(np.arange(len(stacks)), [len(s) for s in stacks])
+    leads = np.concatenate([np.arange(len(s)) * s.shape[-1] for s in stacks])
     shapes, grown_shapes = enumerate_partitions(d, k - 1), enumerate_partitions(d, k)
-    ins = _shape_views(stacks, words, shapes, d)
-    outs = _shape_views(grown, order, grown_shapes, d)
+    ins = _pattern_rows(shapes, dict(zip(words, range(len(words)))), d)
+    outs = _pattern_rows(grown_shapes, code, d)
     filled = {}
     for mu in shapes:
-        p, targets = dim_p(mu), []
+        p, weights, bases = dim_p(mu), [], []
         for lp in add_box(mu, d):
             # in codec order the paths of each mu follow on from those of the
             # mu before it; by the branching rule they then tile 0..dim_p(lp)
@@ -187,16 +206,24 @@ def _cascade_step(stacks: list, words: dict, d: int, k: int, triplets: dict) -> 
             if top != filled.get(lp, 0):
                 raise ValueError(f"paths of {lp} at d={d} are not stacked in rank order")
             filled[lp] = top + p
-            targets += [(w, out[:, top : top + p]) for w, out in outs[lp].items()]
-        sources = list(ins[mu].items())
-        for t, i, s, r, c, x in _cg_sub_blocks(mu, d, triplets.pop(mu)):
-            (w, out), (v, a) = targets[t], sources[s]
-            if w != v[:i] + (v[i] + 1,) + v[i + 1 :]:
-                raise ValueError(f"CG block of {mu} at d={d} breaks torus weight")
-            cg = np.zeros((len(out), len(a)))
-            cg[r, c] = x
-            out[:, :, span[w, i]] = (cg @ a.reshape(len(a), -1)).reshape(len(out), p, -1)
-    return grown, {w: np.concatenate(parts[w]) for w in order}
+            ws, row = outs[lp]
+            weights.append(ws)
+            bases.append(starts[ws] + (row + top) * sizes[ws])
+        rows, cols, x = triplets.pop(mu)
+        q, i = np.divmod(cols, d)
+        vs, row = ins[mu]
+        v = vs[q]
+        w = grow[v, i]
+        if not np.array_equal(w, np.concatenate(weights)[rows]):
+            raise ValueError(f"CG block of {mu} at d={d} breaks torus weight")
+        writes = np.concatenate(bases)[rows] + span[v, i], sizes[w]
+        _couple(sources, grown, in_stack[v], leads[v] + row[q], writes, x, p)
+    # the blocks of each size m, one after another, are a (count, m, m) stack
+    grown_stacks, top = [], 0
+    for m, count in Counter(sizes.tolist()).items():
+        grown_stacks.append(grown[top : top + count * m * m].reshape(count, m, m))
+        top += count * m * m
+    return grown_stacks, {w: np.concatenate(parts[w]) for w in order}
 
 
 # rows of the left product that conjugate gathers and transposes at a time
@@ -212,20 +239,26 @@ class SchurTransform:
     path rank), so the rows of a shape form one (patterns, paths) range,
     and its columns the words of content w, those of content w - e_i
     followed by letter i for each i in turn.  Step k allocates one
-    zero-filled (count, m, m) stack per block size m, the blocks in order
-    of size, ties in descending order of the letter counts, and writes
-    each CG sub-block product with the rows of a shape mu into the rows of
-    each lam' in add_box(mu), at path offset sibling_offset(mu, lam'), and
-    the columns of its letter.  No dense CG block is formed: the coupling
-    triplets of every shape the cascade couples are built once, in one
-    rank-by-rank pass, and grouped by (output shape and weight, letter,
-    input weight) sub-block.
+    zero-filled buffer and lays its blocks out in it one after another, in
+    order of size, ties in descending order of the letter counts, so that
+    the blocks of each size m form one (count, m, m) stack.  A coupling
+    triplet (r, (q, i), x) of a shape mu reads the dim_p(mu) rows of
+    pattern q in its input block of weight v, runs of m_v entries, and
+    writes x times each to the row of pattern r, a pattern of some lam' in
+    add_box(mu), at path offset sibling_offset(mu, lam'), in the output
+    block of weight v + e_i (row stride m_w) from the first column of
+    letter i.  The triplets of each shape go by run width: one gather of
+    their source runs, one scale and one scatter of their target runs, a
+    bounded piece at a time, those with one target (several terms of one
+    CG row, at d >= 3) summed in order after a sort.  No dense CG block is
+    formed: the coupling triplets of every shape the cascade couples are
+    built once, in one rank-by-rank pass.
     Raises ValueError unless the sibling offsets of the mu of every lam',
     in codec order, tile 0..dim_p(lam') (the path order of the codec), and
     if a triplet couples (q, i) to a pattern of weight other than
     weight(q) + e_i.
 
-    S is kept in the last step's stacks.  by_weight maps a weight (the
+    S is kept in the last step's buffer.  by_weight maps a weight (the
     letter counts) to the block's codec rows (ascending), its computational
     columns (cascade order) and its matrix, a view into its stack; stacks
     holds the stacks by size, cols the columns in block order and pos[r]
@@ -253,9 +286,9 @@ class SchurTransform:
                 rows_of.setdefault(w, []).append(r.reshape(-1))
         rows = [np.concatenate(rows_of[w]) for w in words]
         cols = list(words.values())
-        views = [block for stack in stacks for block in stack]
-        for a in rows + cols + stacks + views:
+        for a in rows + cols + stacks:
             a.flags.writeable = False
+        views = [block for stack in stacks for block in stack]
         self.by_weight = dict(zip(words, zip(rows, cols, views)))
         # the gathers in conjugate skip bounds checks: prove them here
         # (pos is a permutation exactly when the rows are)
@@ -405,6 +438,10 @@ def measure_schur(state, d: int, n: int, granularity: str = "lambda") -> dict:
     }
 
 
+# index-map entries that central_projector_oracle computes at a time
+_ORACLE_ENTRIES = 1 << 20
+
+
 def central_projector_oracle(lam, d: int, n: int) -> DenseOperator:
     """Isotypic projector onto the lam sector of (C^d)^n, built purely from
     symmetric-group characters and qudit-permutation index maps:
@@ -417,13 +454,18 @@ def central_projector_oracle(lam, d: int, n: int) -> DenseOperator:
     lam = normalize(lam)
     dim = d**n
     require_dense(dim)
+    perms = all_permutations(n)
+    types = [cycle_type(s) for s in perms]
+    chis = {mu: character(lam, mu) for mu in set(types)}
+    chi = np.array([chis[mu] for mu in types], dtype=float)
+    # the s with chi(s) != 0, a batch of _ORACLE_ENTRIES index-map entries at
+    # a time: P(s) has its one 1 of column i in row _image_indices(s, d)[i]
+    keep = np.flatnonzero(chi)
+    perms, batch = np.array(perms)[keep], max(1, _ORACLE_ENTRIES // dim)
     acc = np.zeros((dim, dim))
-    cols = np.arange(dim)
-    for s in all_permutations(n):
-        chi = character(lam, cycle_type(s))
-        if chi:
-            # P(s) has its one 1 of column i in row _image_indices(s, d)[i]
-            acc[_image_indices(s, d), cols] += chi
+    for a in range(0, len(keep), batch):
+        rows = _image_indices(perms[a : a + batch], d)
+        np.add.at(acc, (rows, np.arange(dim)), chi[keep[a : a + batch], None])
     acc *= dim_p(lam) / math.factorial(n)
     return DenseOperator(acc, row_labels=list(range(dim)), col_labels=list(range(dim)))
 

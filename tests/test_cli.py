@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from schurkit import cli
 from schurkit.cli import _build_parser, _emit, _num, main, matrix_document
-from schurkit.combinatorics import _branching_plan, enumerate_partitions, partition_str
+from schurkit.combinatorics import (
+    _branching_plan,
+    count_partitions,
+    enumerate_partitions,
+    partition_str,
+)
 from schurkit.qtypes import trace_bound_check
 
 SCHEMA = json.loads(
@@ -265,6 +270,34 @@ def test_dims_past_the_cap_exits_1_at_once(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "SCHURKIT_DENSE_CAP" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--d", "100", "--n", "100000"),
+        ("rho", "--r", "0.5,0.3,0.2", "--n", "100000"),
+        ("typebounds", "--r", "0.5,0.3,0.2", "--n", "100000"),
+    ],
+    ids=["dims", "rho", "typebounds"],
+)
+def test_oversized_row_counts_are_refused_before_they_are_counted(capsys, argv):
+    # p(100000) has 108 digits; the count stops once it passes the cap
+    t = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t < 0.1
+    assert code == 1 and out == ""
+    assert err.startswith("error: more than 4096 partitions") and len(err) < 150, err
+
+
+def test_count_partitions_stops_once_past_the_bound():
+    # partitions of 10**5 into at most 2 parts already number 50001
+    assert count_partitions(100, 10**5, stop=4096) == 50001
+    for d, n in [(3, 10), (5, 20), (40, 40)]:
+        exact = count_partitions(d, n)
+        assert count_partitions(d, n, stop=exact) == exact
+        for stop in range(0, exact, max(1, exact // 50)):
+            assert stop < count_partitions(d, n, stop=stop) <= exact
 
 
 def test_kostka_past_the_cap_exits_1_at_once(capsys):

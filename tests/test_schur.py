@@ -77,10 +77,34 @@ def _dense_cascade(d, n):
 
 
 @pytest.mark.parametrize(
-    "d,n", [(2, 6), (3, 4), (4, 3), (2, 8), (3, 5), (5, 3), (10, 2), (1, 3), (3, 1)]
+    "d,n",
+    [
+        (2, 6),
+        (3, 4),
+        (4, 3),
+        (2, 8),
+        (3, 5),
+        (5, 3),
+        (10, 2),
+        (1, 3),
+        (3, 1),
+        # many runs of one width per shape, and several CG terms per target row
+        (4, 4),
+        (10, 3),
+        (32, 2),
+    ],
 )
 def test_cascade_matches_a_dense_reference(d, n):
     assert np.abs(schur(d, n).dense.matrix - _dense_cascade(d, n)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("piece", [1, 7])
+@pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3), (10, 2)])
+def test_cascade_is_the_same_in_pieces_of_any_size(d, n, piece, monkeypatch):
+    monkeypatch.setattr(schur_transform, "_PIECE", piece)
+    built = SchurTransform(d, n)
+    for got, want in zip(built.stacks, schur(d, n).stacks, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_schur_unitary_hands_out_a_fresh_matrix():
