@@ -31,7 +31,7 @@ from .combinatorics import (
     weights_of_size,
 )
 from .duality_checks import verify_block_diagonal
-from .operators import dense_cap, max_or_nan, require_dense
+from .operators import dense_cap, max_or_nan
 from .qtypes import (
     compress_rate,
     sector_distribution,
@@ -40,7 +40,7 @@ from .qtypes import (
     trace_bound_checks,
     typical_mass,
 )
-from .schur_transform import schur_unitary
+from .schur_transform import schur
 from .sn_fourier import gpe_measure, sn_qft_from_schur
 from .wigner import cg_block
 
@@ -85,17 +85,15 @@ def _num(x) -> str:
     return repr(float(x))
 
 
-def matrix_document(matrix, row_labels, col_labels) -> dict:
-    """A matrix document.  Its data are the [re, im] pairs of the entries in
-    row-major order, kept as one (rows * cols, 2) float64 array that _emit
-    spells; json.dumps takes them as data.tolist()."""
-    matrix = np.array(matrix, dtype=complex, order="C")
-    r, c = matrix.shape
+def matrix_document(read, row_labels, col_labels) -> dict:
+    """A matrix document with one row and one column per label.  Its data
+    are the reader read: read(a, b) gives rows a..b - 1 of the matrix, real
+    or complex, which _emit spells a block of rows at a time."""
     return {
         "kind": "matrix",
-        "rows": r,
-        "cols": c,
-        "data": matrix.view(np.float64).reshape(-1, 2),
+        "rows": len(row_labels),
+        "cols": len(col_labels),
+        "data": read,
         "row_labels": [str(l) for l in row_labels],
         "col_labels": [str(l) for l in col_labels],
     }
@@ -126,7 +124,8 @@ def _matrix_pieces(doc: dict, head: str, tail: str, block_text):
     parts = [head]
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        parts += block_text(range(start, stop), doc["data"][start * cols : stop * cols])
+        block = np.array(doc["data"](start, stop), dtype=complex, order="C")
+        parts += block_text(range(start, stop), block.view(np.float64).reshape(-1, 2))
         if stop < rows:
             # hold no reference to a piece once yielded, nor to its parts
             parts = ["".join(parts)]
@@ -202,7 +201,7 @@ def _matrix_json(doc: dict):
     each block spells its distinct [re, im] pairs once."""
     # "data" follows kind, rows and cols, so its null is the first one
     head, tail = json.dumps({**doc, "data": None}, indent=2).split('"data": null', 1)
-    if not doc["data"].size:
+    if not doc["rows"] * doc["cols"]:
         yield head + '"data": []' + tail + "\n"
         return
     yield from _matrix_pieces(
@@ -332,16 +331,20 @@ def _parse_probs(text: str) -> tuple:
 # subcommands (each returns (document, exit code))
 
 
-def _require_shapes(d: int, n: int) -> None:
-    """require_dense for one row per partition of n into at most d parts,
-    counted only until the count passes the cap, so that a refusal is quick
-    and its line short."""
+def _require_count(count: int, what: str) -> None:
+    """The dense guard for count rows or columns of what, worded by the cap, not the count."""
     cap = dense_cap()
-    if count_partitions(d, n, stop=cap) > cap:
+    if count > cap:
         raise ValueError(
-            f"more than {cap} partitions of {n} into at most {d} parts exceed "
-            f"cap {cap}; raise SCHURKIT_DENSE_CAP to override"
+            f"more than {cap} {what}: the table exceeds cap {cap}; "
+            "raise SCHURKIT_DENSE_CAP to override"
         )
+
+
+def _require_shapes(d: int, n: int) -> None:
+    """_require_count for the partitions of n into at most d parts, counted up to the cap."""
+    count = count_partitions(d, n, stop=dense_cap())
+    _require_count(count, f"partitions of {n} into at most {d} parts")
 
 
 def _cmd_dims(args):
@@ -362,10 +365,11 @@ def _cmd_dims(args):
 
 def _cmd_kostka(args):
     lams = [parse_partition(args.lam)] if args.lam else None
-    # one row per shape and one column per weight, C(n + d - 1, d - 1) of
+    # one row per shape and one column per weight, C(n + d - 1, n) of
     # them, both counted before any is listed
-    shapes = len(lams) if lams else count_partitions(args.d, args.n)
-    require_dense(shapes, math.comb(args.n + args.d - 1, args.d - 1))
+    if not lams:
+        _require_shapes(args.d, args.n)
+    _require_count(math.comb(args.n + args.d - 1, args.n), f"{args.d}-letter weights of {args.n}")
     lams = lams or enumerate_partitions(args.d, args.n)
     weights = weights_of_size(args.d, args.n)
     rows = [
@@ -376,12 +380,12 @@ def _cmd_kostka(args):
 
 
 def _cmd_schur(args):
-    su, codec = schur_unitary(args.d, args.n)
+    t = schur(args.d, args.n)
     digits = [str(x) for x in range(args.d)]
     col_labels = [
         "|" + "".join(word) + ">" for word in itertools.product(digits, repeat=args.n)
     ]
-    return matrix_document(su.matrix, codec.row_strings(), col_labels), EXIT_OK
+    return matrix_document(t.rows, t.codec.row_strings(), col_labels), EXIT_OK
 
 
 def _cmd_cg(args):
@@ -389,7 +393,7 @@ def _cmd_cg(args):
     block = cg_block(lam, args.d)
     rows = [f"lam'={partition_str(lp)} q={g}" for lp, g in block.row_labels]
     cols = [f"q={g} i={i}" for g, i in block.col_labels]
-    return matrix_document(block.matrix, rows, cols), EXIT_OK
+    return matrix_document(lambda a, b: block.matrix[a:b], rows, cols), EXIT_OK
 
 
 def _haar(rng, d: int) -> np.ndarray:
@@ -527,7 +531,7 @@ def _cmd_qft(args):
         for b in range(1, dim_p(lam) + 1)
     ]
     cols = ["|" + "".join(str(v) for v in s) + ">" for s in f.col_labels]
-    doc = matrix_document(f.matrix, rows, cols)
+    doc = matrix_document(lambda a, b: f.matrix[a:b], rows, cols)
     residual = f.unitarity_residual()
     return doc, EXIT_OK if residual < args.tol else EXIT_BOUND
 

@@ -41,9 +41,9 @@ def max_or_nan(values) -> float:
 class DenseOperator:
     """A dense matrix together with row/column basis labels.
 
-    Labels are arbitrary hashable objects (partitions, GZ patterns, index
-    tuples); ``row_index``/``col_index`` give O(1) lookup.  The matrix is a
-    plain ndarray and is not copied.
+    Labels are arbitrary objects (partitions, GZ patterns, index tuples); a
+    (row, col) label pair is looked up with list.index, ValueError if absent.
+    The matrix is a plain ndarray and is not copied.
     """
 
     def __init__(self, matrix, row_labels=None, col_labels=None):
@@ -55,8 +55,6 @@ class DenseOperator:
         self.col_labels = list(col_labels) if col_labels is not None else list(range(c))
         if len(self.row_labels) != r or len(self.col_labels) != c:
             raise ValueError("label lengths must match matrix shape")
-        self.row_index = {lab: i for i, lab in enumerate(self.row_labels)}
-        self.col_index = {lab: i for i, lab in enumerate(self.col_labels)}
 
     @property
     def shape(self):
@@ -64,7 +62,7 @@ class DenseOperator:
 
     def __getitem__(self, key):
         row, col = key
-        return self.matrix[self.row_index[row], self.col_index[col]]
+        return self.matrix[self.row_labels.index(row), self.col_labels.index(col)]
 
     def dagger(self) -> "DenseOperator":
         return DenseOperator(self.matrix.conj().T, self.col_labels, self.row_labels)

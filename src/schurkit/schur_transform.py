@@ -2,8 +2,8 @@
 blocks one torus-weight block at a time, with an explicit label codec,
 Schur-basis measurement, an independent character-theoretic projector
 oracle, and encode/decode into the permutation-module (decoherence-free)
-sectors.  Every product with S goes through its weight blocks; only
-schur_unitary assembles the dense matrix.
+sectors.  Every product with S and every dense read of its rows goes
+through its weight blocks.
 """
 
 from __future__ import annotations
@@ -308,16 +308,26 @@ class SchurTransform:
         top = np.searchsorted(rows, first)
         return block[top : top + np_], cols
 
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Codec rows start..stop - 1 of S as a new dense real array, the
+        share of each weight block written through one flat-index scatter;
+        ValueError unless 0 <= start <= stop <= d^n."""
+        dim = len(self.codec)
+        if not 0 <= start <= stop <= dim:
+            raise ValueError(f"rows must lie in 0..{dim}, got {start}..{stop}")
+        out = np.zeros((stop - start, dim))
+        flat, bounds, shift = out.reshape(-1), np.array([start, stop]), start * dim
+        for rows, cols, block in self.by_weight.values():
+            lo, hi = np.searchsorted(rows, bounds).tolist()
+            flat[(rows[lo:hi, None] * dim + (cols - shift)).reshape(-1)] = block[lo:hi].reshape(-1)
+        return out
+
     @property
     def dense(self) -> DenseOperator:
-        """S as a new (d^n x d^n) DenseOperator, assembled from the blocks
-        on each request, each written through one flat-index scatter; the
-        caller owns it and nothing keeps it."""
+        """S as a new (d^n x d^n) DenseOperator, rows(0, d^n), assembled on
+        each request; the caller owns it and nothing keeps it."""
         dim = len(self.codec)
-        u = np.zeros((dim, dim))
-        for rows, cols, block in self.by_weight.values():
-            u.reshape(-1)[(rows[:, None] * dim + cols).reshape(-1)] = block.reshape(-1)
-        return DenseOperator(u, row_labels=self.codec.triples, col_labels=range(dim))
+        return DenseOperator(self.rows(0, dim), self.codec.triples, range(dim))
 
     def _blockdiag_matmul(self, y: np.ndarray, out=None) -> np.ndarray:
         """blockdiag(S) @ y for y in block order (rows) and any columns,

@@ -506,6 +506,24 @@ def test_dense_view_matches_a_per_block_scatter(d, n, rng):
         assert np.abs(t.conjugate(x) - s @ x @ s.T).max() <= 1e-12
 
 
+@pytest.mark.parametrize("d,n", [(4, 3), (3, 4), (10, 2), (2, 5), (1, 3)])
+def test_rows_are_the_rows_of_the_dense_matrix(d, n):
+    # at d >= 3 the rows of many weight blocks interleave in codec order, so
+    # every range of more than a few rows crosses from block to block
+    t = schur(d, n)
+    s, dim = t.dense.matrix, d**n
+    assert len(t.by_weight) > 2 or d < 3
+    for a in range(dim + 1):
+        for b in sorted({a, a + 1, a + 7, a + 29, dim}):
+            if b <= dim:
+                got = t.rows(a, b)
+                assert got.dtype == np.float64 and got.flags.writeable
+                assert got.shape == (b - a, dim) and got.tobytes() == s[a:b].tobytes()
+    for a, b in [(-1, 2), (3, 2), (0, dim + 1)]:
+        with pytest.raises(ValueError, match="rows must lie in"):
+            t.rows(a, b)
+
+
 def _small_cells():
     return st.integers(1, 8).flatmap(
         lambda n: st.tuples(
