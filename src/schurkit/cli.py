@@ -124,8 +124,10 @@ def _matrix_pieces(doc: dict, head: str, tail: str, block_text):
     parts = [head]
     for start in range(0, rows, step):
         stop = min(start + step, rows)
+        # the block's array is gone before its parts are joined
         block = np.array(doc["data"](start, stop), dtype=complex, order="C")
         parts += block_text(range(start, stop), block.view(np.float64).reshape(-1, 2))
+        del block
         if stop < rows:
             # hold no reference to a piece once yielded, nor to its parts
             parts = ["".join(parts)]

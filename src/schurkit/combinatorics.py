@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations, pairwise, product
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -128,9 +128,12 @@ def interlaces(mu, lam) -> bool:
 def interlacing_partitions(lam, rows: int) -> list:
     """All mu with at most ``rows`` rows interlacing lam, descending
     lexicographic.  ``rows`` is normally (number of rows of lam's context)-1."""
-    lam = pad(lam, rows + 1)
+    lam = normalize(lam)
+    if len(lam) > rows + 1:
+        raise ValueError(f"partition {lam} has more than {rows + 1} rows")
     # below an empty row of lam, mu is 0; above it mu_i runs lam_i..lam_(i+1)
-    ranges = [range(lam[i], lam[i + 1] - 1, -1) for i in range(rows) if lam[i]]
+    below = lam[1:] + (0,)
+    ranges = [range(lam[i], below[i] - 1, -1) for i in range(min(rows, len(lam)))]
     return [normalize(mu) for mu in product(*ranges)]
 
 
@@ -287,21 +290,99 @@ def enumerate_gz(lam, d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _weight_counts(d: int, n: int) -> np.ndarray:
+    """counts[p, s] = C(s + p - 1, s), the number of weights of size s in p
+    parts, for p = 1..d and s = 0..n (row 0 is unused), read-only;
+    OverflowError when one passes int64."""
+    counts = np.array(
+        [[0] * (n + 1)] + [[comb(s + p - 1, s) for s in range(n + 1)] for p in range(1, d + 1)],
+        dtype=np.int64,
+    )
+    counts.flags.writeable = False
+    return counts
+
+
+def _weight_numbers(weights: np.ndarray) -> np.ndarray:
+    """The number of each row of weights (letter counts, one size s for all)
+    among the weights of size s in as many parts: the sum over p of
+    counts[p, e_p] - counts[p, e_(p-1)], for e_p the sum of the first p
+    entries (_weight_counts), a bijection onto 0..counts[d, s] - 1."""
+    weights = np.asarray(weights, dtype=np.intp)
+    ends = np.cumsum(weights, axis=1)
+    counts = _weight_counts(weights.shape[1], int(ends[0, -1]))
+    p = np.arange(1, weights.shape[1] + 1)
+    return (counts[p, ends] - counts[p, ends - weights]).sum(axis=1)
+
+
+# (lam, rank) -> _gz_numbers(lam, rank), for every pair some call has reached
+_GZ_NUMBERS = {}
+
+
+def _gz_numbers(lam, d: int) -> np.ndarray:
+    """The number (_weight_numbers) of the gz_weight of each GZ pattern of
+    lam at rank d, in enumerate_gz order, as a read-only int64 array; lam
+    is canonical with at most d rows.
+
+    The patterns of lam at rank r are those of each mu interlacing lam at
+    rank r - 1 in turn, each with |lam| - |mu| appended, which adds
+    C(|lam| + r - 1, r - 1) - C(|mu| + r - 1, r - 1) to its number.  So the
+    arrays are built bottom-up over the ranks, without recursion, each
+    (shape, rank) once per process and kept for every later call."""
+    # levels[k]: the shapes at rank d - k not kept yet, each with the shapes
+    # interlacing it (none at rank 1)
+    levels = [{lam: None}]
+    while (lam, d) not in _GZ_NUMBERS:
+        r, below = d - len(levels) + 1, {}
+        for nu in levels[-1]:
+            levels[-1][nu] = interlacing_partitions(nu, r - 1) if r > 1 else []
+            below.update((mu, None) for mu in levels[-1][nu] if (mu, r - 1) not in _GZ_NUMBERS)
+        if not below:
+            for k, level in reversed(list(enumerate(levels))):
+                for nu, mus in level.items():
+                    _GZ_NUMBERS[nu, d - k] = _numbers_below(nu, d - k, mus)
+        levels.append(below)
+    return _GZ_NUMBERS[lam, d]
+
+
+def _numbers_below(lam, r: int, mus: list) -> np.ndarray:
+    """_gz_numbers(lam, r) from the kept numbers of the mus interlacing lam
+    at rank r - 1 (none at rank 1)."""
+    top = comb(size(lam) + r - 1, r - 1)
+    if top > np.iinfo(np.int64).max:
+        raise OverflowError(f"the weights of size {size(lam)} in {r} parts pass int64")
+    out = np.concatenate(
+        [_GZ_NUMBERS[mu, r - 1] + (top - comb(size(mu) + r - 1, r - 1)) for mu in mus]
+        or [np.zeros(1, dtype=np.int64)]
+    )
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
 def _gz_weights(lam, d: int) -> tuple:
-    """The gz_weight of each GZ pattern of lam, in enumerate_gz order, by the
-    same rule: the weight of sub + (lam,) is weight(sub) + (|lam| - |mu|,)
-    for sub a pattern of mu; lam is canonical with at most d rows."""
-    return _gz_table(lam, d, size, lambda top, mu: size(top) - size(mu))
+    """The gz_weight of each GZ pattern of lam, in enumerate_gz order, read
+    from _gz_numbers(lam, d) one rank at a time from the top: a number is
+    that of the first p - 1 entries plus counts[p, e_p] - counts[p, e], e
+    the size of those entries, which the counts of rank p order."""
+    nums, left = _gz_numbers(lam, d), np.full(dim_q(lam, d), size(lam))
+    counts, out = _weight_counts(d, size(lam)), np.empty((d, len(nums)), dtype=np.intp)
+    for p in range(d, 1, -1):
+        gap = counts[p].take(left) - nums
+        below = counts[p].searchsorted(gap)
+        out[p - 1] = left - below
+        nums, left = counts[p].take(below) - gap, below
+    out[0] = left
+    return tuple(map(tuple, out.T.copy().tolist()))
 
 
 @lru_cache(maxsize=None)
 def _weight_classes(lam, d: int) -> dict:
     """GZ weight -> indices of the patterns of lam with that weight, in
     enumerate_gz order; lam is canonical with at most d rows."""
-    out = {}
-    for k, w in enumerate(_gz_weights(lam, d)):
-        out.setdefault(w, []).append(k)
-    return {w: np.array(ks) for w, ks in out.items()}
+    nums, weights = _gz_numbers(lam, d), _gz_weights(lam, d)
+    order = np.argsort(nums, kind="stable")
+    classes = np.split(order, np.flatnonzero(np.diff(nums[order])) + 1)
+    return {weights[ks[0]]: ks for ks in sorted(classes, key=lambda ks: ks[0])}
 
 
 def gz_weight(pattern) -> tuple:

@@ -16,8 +16,9 @@ import numpy as np
 
 from .characters import character
 from .combinatorics import (
+    _gz_numbers,
     _gz_weights,
-    _weight_classes,
+    _weight_numbers,
     add_box,
     dim_p,
     dim_q,
@@ -97,33 +98,24 @@ class SchurLabelCodec:
         return enumerate_gz(normalize(lam), self.d)[qi - 1]
 
 
-@lru_cache(maxsize=None)
-def _pattern_codes(lam, d: int) -> tuple:
-    """The number of the weight of each GZ pattern of lam among the weights
-    of lam (_weight_classes order) and its place among the patterns of that
-    weight, in enumerate_gz order."""
-    codes = np.empty(dim_q(lam, d), dtype=np.intp)
-    places = np.empty_like(codes)
-    for c, ks in enumerate(_weight_classes(lam, d).values()):
-        codes[ks] = c
-        places[ks] = np.arange(len(ks))
-    codes.flags.writeable = places.flags.writeable = False
-    return codes, places
-
-
-def _pattern_rows(shapes, code: dict, d: int) -> dict:
-    """shape -> (the number in code of the weight of each of its GZ patterns,
-    the row of the pattern's first path in the block of that weight), in
-    enumerate_gz order, for blocks with rows in codec order (shape, GZ
-    pattern, path rank) over the given shapes in codec order."""
-    tops, out = np.zeros(len(code), dtype=np.intp), {}
-    for lam in shapes:
-        p, classes = dim_p(lam), _weight_classes(lam, d)
-        ws = np.array([code[w] for w in classes])
-        codes, places = _pattern_codes(lam, d)
-        out[lam] = ws[codes], tops[ws[codes]] + places * p
-        tops[ws] += [len(ks) * p for ks in classes.values()]
-    return out
+def _pattern_rows(shapes, block: np.ndarray, d: int) -> dict:
+    """shape -> (the block of each of its GZ patterns, the row of the
+    pattern's first path in that block), in enumerate_gz order, for blocks
+    with rows in codec order (shape, GZ pattern, path rank) over the given
+    shapes in codec order; block[c] is the block of the weight numbered c
+    (_weight_numbers).  One stable sort of all the patterns by block lays
+    out the rows of every block."""
+    blocks = [block[_gz_numbers(lam, d)] for lam in shapes]
+    of = np.concatenate(blocks)
+    paths = np.repeat([dim_p(lam) for lam in shapes], [len(b) for b in blocks])
+    order = np.argsort(of, kind="stable")
+    # the first row of each pattern in the rows of all blocks, block after
+    # block, less that of the first pattern of its block
+    tops = np.cumsum(paths[order]) - paths[order]
+    rows = np.empty_like(tops)
+    rows[order] = tops - tops[np.searchsorted(of[order], of[order])]
+    ends = np.cumsum([len(b) for b in blocks]).tolist()
+    return {lam: (b, rows[end - len(b) : end]) for lam, b, end in zip(shapes, blocks, ends)}
 
 
 # entries that a cascade step gathers, scales and scatters at a time, which
@@ -165,39 +157,50 @@ def _couple(sources: list, grown: np.ndarray, stack, reads, writes: tuple, x, p:
         runs[(starts[h, None] + j * steps[h, None]).reshape(-1)] = vals.reshape(-1, m)
 
 
-def _cascade_step(stacks: list, words: dict, d: int, k: int, triplets: dict) -> tuple:
-    """The weight-block stacks and words of S(d, k) = CG_k (S(d, k - 1)
-    tensor I) from those of S(d, k - 1), popping the triplets of each shape
-    of size k - 1 (see SchurTransform)."""
-    # the grown words of each content, those of content v followed by letter
-    # i for each i in turn, and where each (content, letter) segment lands
-    parts, width, land = {}, {}, {}
-    for i in range(d):
-        for v, vs in words.items():
-            w = v[:i] + (v[i] + 1,) + v[i + 1 :]
-            land[v, i] = w, width.get(w, 0)
-            width[w] = land[v, i][1] + len(vs)
-            parts.setdefault(w, []).append(vs * d + i)
+def _cascade_step(stacks: list, contents, cols, ins: dict, d: int, k: int, triplets: dict) -> tuple:
+    """The weight-block stacks, contents, columns and pattern rows
+    (_pattern_rows) of S(d, k) = CG_k (S(d, k - 1) tensor I) from those of
+    S(d, k - 1), popping the triplets of each shape of size k - 1 (see
+    SchurTransform)."""
+    sizes = np.repeat([s.shape[1] for s in stacks], [len(s) for s in stacks])
+    # segment f = i * len(contents) + v holds the words of input block v
+    # followed by letter i; they land in the block of content v + e_i, the
+    # segments of a block in order of f.  Every weight of size k is some
+    # v + e_i, so the grown contents take every number below count
+    grown = (contents + np.eye(d, dtype=np.intp)[:, None]).reshape(-1, d)
+    nums, count = _weight_numbers(grown), math.comb(k + d - 1, k)
+    widths = np.bincount(nums, np.tile(sizes, d), count).astype(np.intp)
+    # a segment of each number (those of one number share its content)
+    of = np.empty(count, dtype=np.intp)
+    of[nums] = np.arange(len(nums))
     # a block has one row per word of its content; blocks by size, ties in
     # descending order of the letter counts, one after another in one buffer
-    order = sorted(sorted(width, reverse=True), key=width.get)
-    code = {w: c for c, w in enumerate(order)}
-    sizes = np.array([width[w] for w in order])
-    starts = np.cumsum(sizes * sizes) - sizes * sizes
-    grown = np.zeros(starts[-1] + sizes[-1] ** 2)
+    order = np.lexsort(np.vstack([-grown[of, ::-1].T, widths]))
+    block = np.empty(count, dtype=np.intp)
+    block[order] = np.arange(count)
+    width = widths[order]
+    starts = np.cumsum(width * width) - width * width
+    buffer = np.zeros(starts[-1] + width[-1] ** 2)
     # (input weight, letter) -> the output weight and the first column of
     # the letter's span in its block
-    grow = np.array([[code[land[v, i][0]] for i in range(d)] for v in words])
-    span = np.array([[land[v, i][1] for i in range(d)] for v in words])
+    grow = block[nums]
+    segs = np.argsort(grow, kind="stable")
+    runs = np.tile(sizes, d)[segs]
+    tops = np.cumsum(runs) - runs
+    span = np.empty_like(grow)
+    span[segs] = tops - (np.cumsum(width) - width)[grow[segs]]
+    grow, span = grow.reshape(d, -1).T, span.reshape(d, -1).T
+    # the columns of each segment: those of its input block, times d, plus i
+    letter, v = np.divmod(segs, len(contents))
+    src = np.arange(len(cols) * d) + np.repeat(np.cumsum(sizes)[v] - sizes[v] - tops, runs)
+    grown_cols = cols[src] * d + np.repeat(letter, runs)
     # each input block's stack and its first row in the stack's rows
     sources = [s.reshape(-1, s.shape[-1]) for s in stacks]
     in_stack = np.repeat(np.arange(len(stacks)), [len(s) for s in stacks])
     leads = np.concatenate([np.arange(len(s)) * s.shape[-1] for s in stacks])
-    shapes, grown_shapes = enumerate_partitions(d, k - 1), enumerate_partitions(d, k)
-    ins = _pattern_rows(shapes, dict(zip(words, range(len(words)))), d)
-    outs = _pattern_rows(grown_shapes, code, d)
+    outs = _pattern_rows(enumerate_partitions(d, k), block, d)
     filled = {}
-    for mu in shapes:
+    for mu in enumerate_partitions(d, k - 1):
         p, weights, bases = dim_p(mu), [], []
         for lp in add_box(mu, d):
             # in codec order the paths of each mu follow on from those of the
@@ -208,22 +211,22 @@ def _cascade_step(stacks: list, words: dict, d: int, k: int, triplets: dict) -> 
             filled[lp] = top + p
             ws, row = outs[lp]
             weights.append(ws)
-            bases.append(starts[ws] + (row + top) * sizes[ws])
-        rows, cols, x = triplets.pop(mu)
-        q, i = np.divmod(cols, d)
+            bases.append(starts[ws] + (row + top) * width[ws])
+        rows, cols_in, x = triplets.pop(mu)
+        q, i = np.divmod(cols_in, d)
         vs, row = ins[mu]
         v = vs[q]
         w = grow[v, i]
         if not np.array_equal(w, np.concatenate(weights)[rows]):
             raise ValueError(f"CG block of {mu} at d={d} breaks torus weight")
-        writes = np.concatenate(bases)[rows] + span[v, i], sizes[w]
-        _couple(sources, grown, in_stack[v], leads[v] + row[q], writes, x, p)
+        writes = np.concatenate(bases)[rows] + span[v, i], width[w]
+        _couple(sources, buffer, in_stack[v], leads[v] + row[q], writes, x, p)
     # the blocks of each size m, one after another, are a (count, m, m) stack
     grown_stacks, top = [], 0
-    for m, count in Counter(sizes.tolist()).items():
-        grown_stacks.append(grown[top : top + count * m * m].reshape(count, m, m))
-        top += count * m * m
-    return grown_stacks, {w: np.concatenate(parts[w]) for w in order}
+    for m, many in Counter(width.tolist()).items():
+        grown_stacks.append(buffer[top : top + many * m * m].reshape(many, m, m))
+        top += many * m * m
+    return grown_stacks, grown[of[order]], grown_cols, outs
 
 
 # rows of the left product that conjugate gathers and transposes at a time
@@ -251,14 +254,18 @@ class SchurTransform:
     their source runs, one scale and one scatter of their target runs, a
     bounded piece at a time, those with one target (several terms of one
     CG row, at d >= 3) summed in order after a sort.  No dense CG block is
-    formed: the coupling triplets of every shape the cascade couples are
-    built once, in one rank-by-rank pass.
+    formed: the coupling triplets come from cg_triplets, which builds each
+    (shape, rank) once per process, and the weight of each GZ pattern from
+    _gz_numbers, likewise.  A step's bookkeeping (the contents v + e_i,
+    their blocks, the column offset of each letter and the columns of
+    every block) is array operations on one (contents x d) table.
     Raises ValueError unless the sibling offsets of the mu of every lam',
     in codec order, tile 0..dim_p(lam') (the path order of the codec), and
     if a triplet couples (q, i) to a pattern of weight other than
     weight(q) + e_i.
 
-    S is kept in the last step's buffer.  by_weight maps a weight (the
+    S is kept in the last step's buffer, with +0.0 for every zero entry.
+    by_weight maps a weight (the
     letter counts) to the block's codec rows (ascending), its computational
     columns (cascade order) and its matrix, a view into its stack; stacks
     holds the stacks by size, cols the columns in block order and pos[r]
@@ -266,37 +273,48 @@ class SchurTransform:
     """
 
     def __init__(self, d: int, n: int):
-        self.codec = codec = SchurLabelCodec(d, n)
+        self.codec = SchurLabelCodec(d, n)
         # S(d, 1) = I: letter i is the pattern of (1,) with weight e_i; the
         # e_i, in descending order, are the blocks of one (d, 1, 1) stack
-        seed = sorted(_weight_classes((1,), d), reverse=True)
-        words, stacks = {w: np.array([w.index(1)]) for w in seed}, [np.ones((d, 1, 1))]
+        contents, cols, stacks = np.eye(d, dtype=np.intp), np.arange(d), [np.ones((d, 1, 1))]
+        block = np.empty(d, dtype=np.intp)
+        block[_weight_numbers(contents)] = np.arange(d)
+        patterns = _pattern_rows([(1,)], block, d)
         # the triplets of every shape that some step couples, each built once
         coupled = (mu for size in range(1, n) for mu in enumerate_partitions(d, size))
         triplets = cg_triplets(coupled, d)
         for k in range(2, n + 1):
-            stacks, words = _cascade_step(stacks, words, d, k, triplets)
-        # the codec rows of each block, ascending: shapes in codec order, then
-        # patterns in enumerate_gz order, then paths by rank
-        rows_of = {}
-        for lam in enumerate_partitions(d, n):
-            top, p = codec.index(lam, 1, 1), dim_p(lam)
-            for w, ks in _weight_classes(lam, d).items():
-                r = top + ks[:, None] * p + np.arange(p)
-                rows_of.setdefault(w, []).append(r.reshape(-1))
-        rows = [np.concatenate(rows_of[w]) for w in words]
-        cols = list(words.values())
-        for a in rows + cols + stacks:
+            stacks, contents, cols, patterns = _cascade_step(
+                stacks, contents, cols, patterns, d, k, triplets
+            )
+        # a negative CG coefficient scales a zero entry to -0.0; + 0.0 makes
+        # it 0.0 and leaves every other entry as it is
+        for stack in stacks:
+            stack += 0.0
+        # the block of each codec row (shapes in codec order, then patterns in
+        # enumerate_gz order, then paths by rank): one stable sort gives each
+        # block its codec rows, ascending
+        shapes = enumerate_partitions(d, n)
+        paths = np.repeat([dim_p(lam) for lam in shapes], [dim_q(lam, d) for lam in shapes])
+        of = np.repeat(np.concatenate([patterns[lam][0] for lam in shapes]), paths)
+        sizes = np.repeat([s.shape[1] for s in stacks], [len(s) for s in stacks])
+        # the gathers in conjugate skip bounds checks: prove them here (the
+        # sorted rows are a permutation, so pos is one)
+        if not np.array_equal(np.bincount(of, minlength=len(sizes)), sizes):
+            raise ValueError(f"weight blocks of S({d}, {n}) miss or repeat rows")
+        if not np.array_equal(np.sort(cols), np.arange(d**n)):
+            raise ValueError(f"weight blocks of S({d}, {n}) miss or repeat columns")
+        all_rows = np.argsort(of, kind="stable")
+        self.pos = np.empty_like(all_rows)
+        self.pos[all_rows] = np.arange(d**n)
+        for a in (all_rows, cols, self.pos, *stacks):
             a.flags.writeable = False
-        views = [block for stack in stacks for block in stack]
-        self.by_weight = dict(zip(words, zip(rows, cols, views)))
-        # the gathers in conjugate skip bounds checks: prove them here
-        # (pos is a permutation exactly when the rows are)
-        all_rows, all_cols = np.concatenate(rows), np.concatenate(cols)
-        for what, perm in (("rows", all_rows), ("columns", all_cols)):
-            if not np.array_equal(np.sort(perm), np.arange(d**n)):
-                raise ValueError(f"weight blocks of S({d}, {n}) miss or repeat {what}")
-        self.stacks, self.cols, self.pos = stacks, all_cols, np.argsort(all_rows)
+        ends = np.cumsum(sizes).tolist()
+        spans = [slice(end - m, end) for end, m in zip(ends, sizes.tolist())]
+        views = [view for stack in stacks for view in stack]
+        blocks = ((all_rows[s], cols[s], view) for s, view in zip(spans, views))
+        self.by_weight = dict(zip(map(tuple, contents.tolist()), blocks))
+        self.stacks, self.cols = stacks, cols
 
     def sector_rows(self, lam, qi: int) -> tuple:
         """The dim_p rows (lam, qi, 1..dim_p) of S, consecutive rows of the
@@ -310,16 +328,18 @@ class SchurTransform:
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Codec rows start..stop - 1 of S as a new dense real array, the
-        share of each weight block written through one flat-index scatter;
-        ValueError unless 0 <= start <= stop <= d^n."""
+        share of each weight block written by one scatter, a block that lies
+        wholly in the range without a search for its share; ValueError
+        unless 0 <= start <= stop <= d^n."""
         dim = len(self.codec)
         if not 0 <= start <= stop <= dim:
             raise ValueError(f"rows must lie in 0..{dim}, got {start}..{stop}")
         out = np.zeros((stop - start, dim))
-        flat, bounds, shift = out.reshape(-1), np.array([start, stop]), start * dim
         for rows, cols, block in self.by_weight.values():
-            lo, hi = np.searchsorted(rows, bounds).tolist()
-            flat[(rows[lo:hi, None] * dim + (cols - shift)).reshape(-1)] = block[lo:hi].reshape(-1)
+            if start > rows[0] or rows[-1] >= stop:
+                lo, hi = np.searchsorted(rows, (start, stop)).tolist()
+                rows, block = rows[lo:hi], block[lo:hi]
+            out[(rows - start)[:, None], cols] = block
         return out
 
     @property
@@ -452,6 +472,18 @@ def measure_schur(state, d: int, n: int, granularity: str = "lambda") -> dict:
 _ORACLE_ENTRIES = 1 << 20
 
 
+@lru_cache(maxsize=None)
+def _cycle_types(n: int) -> tuple:
+    """S_n as an (n!, n) array in all_permutations order, the distinct cycle
+    types, and the index of each permutation's type among them."""
+    types = [cycle_type(s) for s in all_permutations(n)]
+    distinct = list(dict.fromkeys(types))
+    index = {mu: k for k, mu in enumerate(distinct)}
+    perms, of = np.array(all_permutations(n)), np.array([index[mu] for mu in types])
+    perms.flags.writeable = of.flags.writeable = False
+    return perms, distinct, of
+
+
 def central_projector_oracle(lam, d: int, n: int) -> DenseOperator:
     """Isotypic projector onto the lam sector of (C^d)^n, built purely from
     symmetric-group characters and qudit-permutation index maps:
@@ -464,14 +496,12 @@ def central_projector_oracle(lam, d: int, n: int) -> DenseOperator:
     lam = normalize(lam)
     dim = d**n
     require_dense(dim)
-    perms = all_permutations(n)
-    types = [cycle_type(s) for s in perms]
-    chis = {mu: character(lam, mu) for mu in set(types)}
-    chi = np.array([chis[mu] for mu in types], dtype=float)
+    perms, types, of = _cycle_types(n)
+    chi = np.array([character(lam, mu) for mu in types], dtype=float)[of]
     # the s with chi(s) != 0, a batch of _ORACLE_ENTRIES index-map entries at
     # a time: P(s) has its one 1 of column i in row _image_indices(s, d)[i]
     keep = np.flatnonzero(chi)
-    perms, batch = np.array(perms)[keep], max(1, _ORACLE_ENTRIES // dim)
+    perms, batch = perms[keep], max(1, _ORACLE_ENTRIES // dim)
     acc = np.zeros((dim, dim))
     for a in range(0, len(keep), batch):
         rows = _image_indices(perms[a : a + batch], d)

@@ -183,28 +183,36 @@ def cg_block(lam, d: int) -> DenseOperator:
     return DenseOperator(m, row_labels=row_labels, col_labels=col_labels)
 
 
+# (lam, rank) -> the read-only triplets of cg_block(lam, rank), for every
+# pair some call has reached; they do not depend on any larger rank
+_TRIPLETS = {}
+
+
 def cg_triplets(lams, d: int) -> dict:
-    """lam -> the nonzero entries of cg_block(lam, d) as (rows, cols,
-    values) arrays, rows ascending, for each partition lam in lams.  Built
-    rank by rank from the triplets of the shapes below, each shape once,
-    keeping none of them once it returns."""
+    """lam -> the nonzero entries of cg_block(lam, d) as read-only (rows,
+    cols, values) arrays, rows ascending, for each partition lam in lams.
+    Built rank by rank from the triplets of the shapes below, each (shape,
+    rank) once per process: every pair reached is kept in _TRIPLETS, and a
+    later call, at this d or any other, builds only the pairs it lacks."""
     if d < 1:
         raise ValueError("d must be >= 1")
     lams = {normalize(lam) for lam in lams}
-    # the shapes whose triplets are needed at each rank, from d down to 1
-    shapes = [lams]
+    # the shapes not kept yet at each rank, from d down
+    shapes = [{lam for lam in lams if (lam, d) not in _TRIPLETS}]
     for r in range(d - 1, 0, -1):
         below = (interlacing_partitions(nu, r) for nu in shapes[-1])
-        shapes.append({mu for mus in below for mu in mus})
-    lower = {}
+        shapes.append({mu for mus in below for mu in mus if (mu, r) not in _TRIPLETS})
     for r, level in enumerate(reversed(shapes), 1):
-        lower = {nu: _cg_triplets(nu, r, lower) for nu in level}
-    return lower
+        for nu in level:
+            _TRIPLETS[nu, r] = _cg_triplets(nu, r)
+            for a in _TRIPLETS[nu, r]:
+                a.flags.writeable = False
+    return {lam: _TRIPLETS[lam, d] for lam in lams}
 
 
-def _cg_triplets(lam, d: int, lower: dict) -> tuple:
-    """cg_triplets([lam], d)[lam], given lower[mu] = the triplets of mu at
-    rank d - 1 for every mu interlacing lam."""
+def _cg_triplets(lam, d: int) -> tuple:
+    """cg_triplets([lam], d)[lam], given the kept triplets of every mu
+    interlacing lam at rank d - 1."""
     if d == 1:
         return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.ones(1)
     grown = _grown(lam, d)
@@ -222,7 +230,7 @@ def _cg_triplets(lam, d: int, lower: dict) -> tuple:
         # (mu'', j', rows within the run, columns, values) of each outcome;
         # the outcomes mu'' = mu + e_j' of mu's block follow in _grown order
         parts, lo = [(mu, 0, np.arange(k), cols[:, -1], np.ones(k))], 0
-        rows, lower_cols, vals = lower[mu]
+        rows, lower_cols, vals = _TRIPLETS[mu, d - 1]
         for jp, mupp in _grown(mu, d - 1):
             hi = lo + dim_q(mupp, d - 1)
             a, b = np.searchsorted(rows, (lo, hi))

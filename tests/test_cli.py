@@ -312,6 +312,8 @@ _SCHUR_SHA256 = {
     (4, 3, "json"): "5d1ad0e02210bac694df3cdaa30b257a1801441e6b72545c473da511bb1c926b",
     (4, 3, "csv"): "aa9c5dbdaa477f39d419bcadaca09bbc1055ba84d2c0b509c79b6523fa1e5581",
     (4, 3, "table"): "42cec325e5615e08d44e64820a3dc158605729035c2b47820b50e92f2646514a",
+    # every zero entry of S spelled 0.0, none -0.0
+    (2, 8, "json"): "fa51aaa913efb05e0912d5df11452fb594b9fe0bfe490e727d3bcd6aa933528d",
 }
 
 

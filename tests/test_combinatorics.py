@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from schurkit.combinatorics import (
     _branching_plan,
+    _gz_numbers,
     _gz_weights,
+    _weight_numbers,
     add_box,
     count_partitions,
     dim_p,
@@ -158,6 +160,17 @@ def test_gz_tables_and_weights_follow_the_recursive_order():
                 assert list(_gz_weights(lam, d)) == [gz_weight(g) for g in patterns]
                 for mu in weights_of_size(d, n)[:: d + 1]:
                     assert kostka(lam, mu) == sum(gz_weight(g) == mu for g in patterns)
+
+
+def test_weight_numbers_number_the_weights_of_each_size():
+    for d in range(1, 7):
+        for n in range(0, 6):
+            weights = weights_of_size(d, n)
+            numbers = _weight_numbers(np.array(weights).reshape(-1, d))
+            assert sorted(numbers.tolist()) == list(range(len(weights)))
+            for lam in enumerate_partitions(d, n):
+                patterns = np.array([gz_weight(g) for g in enumerate_gz(lam, d)])
+                assert np.array_equal(_gz_numbers(lam, d), _weight_numbers(patterns))
 
 
 def test_gz_tables_and_weights_run_past_the_recursion_limit():

@@ -1,4 +1,9 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +12,7 @@ from conftest import haar_unitary, random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurkit import schur_transform, wigner
+from schurkit import combinatorics, schur_transform, wigner
 from schurkit.channels import channel_normal_form
 from schurkit.characters import character
 from schurkit.combinatorics import (
@@ -118,7 +123,7 @@ def test_schur_unitary_hands_out_a_fresh_matrix():
 def test_weight_classes_group_the_patterns_by_gz_weight(d, n):
     for lam in enumerate_partitions(d, n):
         weights = [gz_weight(g) for g in enumerate_gz(lam, d)]
-        classes = schur_transform._weight_classes(lam, d)
+        classes = combinatorics._weight_classes(lam, d)
         assert list(classes) == list(dict.fromkeys(weights))
         for w, ks in classes.items():
             assert ks.tolist() == [k for k, v in enumerate(weights) if v == w]
@@ -522,6 +527,49 @@ def test_rows_are_the_rows_of_the_dense_matrix(d, n):
     for a, b in [(-1, 2), (3, 2), (0, dim + 1)]:
         with pytest.raises(ValueError, match="rows must lie in"):
             t.rows(a, b)
+
+
+# the criterion-02 grid: every (d, n) with d, n >= 2 and d^n <= 1024
+_GRID = [(d, n) for d in range(2, 33) for n in range(2, 11) if d**n <= 1024]
+
+
+def test_no_zero_entry_of_s_has_its_sign_bit_set():
+    # a CG coefficient below 0 times a zero entry is -0.0, which documents spell
+    for d, n in _GRID + [(2, 11), (2, 12)]:
+        for stack in schur(d, n).stacks:
+            assert not np.any(np.signbit(stack) & (stack == 0)), (d, n)
+
+
+_DIGESTS = """
+import hashlib, json, sys
+from schurkit.schur_transform import SchurTransform, schur
+built, cells = json.loads(sys.argv[1])
+for d, n in built:
+    schur(d, n)
+print(json.dumps([hashlib.sha256(SchurTransform(d, n).dense.matrix.tobytes()).hexdigest() for d, n in cells]))
+"""
+
+
+def _digests_in_a_fresh_interpreter(built, cells) -> list:
+    """sha256 of S at each cell, built anew in a fresh interpreter after the
+    cells in built."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(schur_transform.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _DIGESTS, json.dumps([built, cells])],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_s_does_not_depend_on_the_cells_built_before():
+    # every build shares the triplets and weight numbers kept per (shape,
+    # rank); a cell built alone and one built after the other 52 cells of
+    # the grid must agree bit for bit, and with S in this process
+    cells = [(32, 2), (10, 3), (5, 4), (4, 5), (3, 6), (2, 10)]
+    after = _digests_in_a_fresh_interpreter(_GRID, cells)
+    alone = [_digests_in_a_fresh_interpreter([], [cell])[0] for cell in cells]
+    here = [hashlib.sha256(schur(d, n).dense.matrix.tobytes()).hexdigest() for d, n in cells]
+    assert after == alone == here
 
 
 def _small_cells():

@@ -256,6 +256,8 @@ def test_reduced_wigner_float_ratio_is_the_fraction_ratio(monkeypatch):
         return formula(*key)
 
     monkeypatch.setattr(wigner, "_reduced_wigner", record)
+    # start from no kept triplets, so that every coefficient is read again
+    monkeypatch.setattr(wigner, "_TRIPLETS", {})
     for d in range(1, 6):
         cg_triplets([lam for n in range(6) for lam in enumerate_partitions(d, n)], d)
     assert len(seen) > 1000
