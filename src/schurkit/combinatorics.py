@@ -314,6 +314,19 @@ def _weight_numbers(weights: np.ndarray) -> np.ndarray:
     return (counts[p, ends] - counts[p, ends - weights]).sum(axis=1)
 
 
+def _unkept_levels(lams, d: int, kept) -> list:
+    """(r, the shapes at rank r that kept lacks) for r = 1..d, bottom-up:
+    the lams themselves at rank d, and below each shape lacking at rank r
+    the shapes interlacing it at rank r - 1.  What a table kept per (shape,
+    rank), each built from those at the rank below, must add for the lams
+    at rank d, found without recursion."""
+    shapes = [{lam for lam in lams if (lam, d) not in kept}]
+    for r in range(d - 1, 0, -1):
+        below = (interlacing_partitions(nu, r) for nu in shapes[-1])
+        shapes.append({mu for mus in below for mu in mus if (mu, r) not in kept})
+    return list(enumerate(reversed(shapes), 1))
+
+
 # (lam, rank) -> _gz_numbers(lam, rank), for every pair some call has reached
 _GZ_NUMBERS = {}
 
@@ -326,36 +339,20 @@ def _gz_numbers(lam, d: int) -> np.ndarray:
     The patterns of lam at rank r are those of each mu interlacing lam at
     rank r - 1 in turn, each with |lam| - |mu| appended, which adds
     C(|lam| + r - 1, r - 1) - C(|mu| + r - 1, r - 1) to its number.  So the
-    arrays are built bottom-up over the ranks, without recursion, each
-    (shape, rank) once per process and kept for every later call."""
-    # levels[k]: the shapes at rank d - k not kept yet, each with the shapes
-    # interlacing it (none at rank 1)
-    levels = [{lam: None}]
-    while (lam, d) not in _GZ_NUMBERS:
-        r, below = d - len(levels) + 1, {}
-        for nu in levels[-1]:
-            levels[-1][nu] = interlacing_partitions(nu, r - 1) if r > 1 else []
-            below.update((mu, None) for mu in levels[-1][nu] if (mu, r - 1) not in _GZ_NUMBERS)
-        if not below:
-            for k, level in reversed(list(enumerate(levels))):
-                for nu, mus in level.items():
-                    _GZ_NUMBERS[nu, d - k] = _numbers_below(nu, d - k, mus)
-        levels.append(below)
+    arrays are built bottom-up over the ranks, each (shape, rank) once per
+    process and kept for every later call."""
+    for r, level in _unkept_levels([lam], d, _GZ_NUMBERS):
+        for nu in level:
+            top = comb(size(nu) + r - 1, r - 1)
+            if top > np.iinfo(np.int64).max:
+                raise OverflowError(f"the weights of size {size(nu)} in {r} parts pass int64")
+            mus = interlacing_partitions(nu, r - 1) if r > 1 else []
+            _GZ_NUMBERS[nu, r] = np.concatenate(
+                [_GZ_NUMBERS[mu, r - 1] + (top - comb(size(mu) + r - 1, r - 1)) for mu in mus]
+                or [np.zeros(1, dtype=np.int64)]
+            )
+            _GZ_NUMBERS[nu, r].flags.writeable = False
     return _GZ_NUMBERS[lam, d]
-
-
-def _numbers_below(lam, r: int, mus: list) -> np.ndarray:
-    """_gz_numbers(lam, r) from the kept numbers of the mus interlacing lam
-    at rank r - 1 (none at rank 1)."""
-    top = comb(size(lam) + r - 1, r - 1)
-    if top > np.iinfo(np.int64).max:
-        raise OverflowError(f"the weights of size {size(lam)} in {r} parts pass int64")
-    out = np.concatenate(
-        [_GZ_NUMBERS[mu, r - 1] + (top - comb(size(mu) + r - 1, r - 1)) for mu in mus]
-        or [np.zeros(1, dtype=np.int64)]
-    )
-    out.flags.writeable = False
-    return out
 
 
 @lru_cache(maxsize=None)

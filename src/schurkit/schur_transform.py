@@ -162,37 +162,37 @@ def _cascade_step(stacks: list, contents, cols, ins: dict, d: int, k: int, tripl
     (_pattern_rows) of S(d, k) = CG_k (S(d, k - 1) tensor I) from those of
     S(d, k - 1), popping the triplets of each shape of size k - 1 (see
     SchurTransform)."""
-    sizes = np.repeat([s.shape[1] for s in stacks], [len(s) for s in stacks])
+    heights = np.repeat([s.shape[1] for s in stacks], [len(s) for s in stacks])
     # segment f = i * len(contents) + v holds the words of input block v
     # followed by letter i; they land in the block of content v + e_i, the
     # segments of a block in order of f.  Every weight of size k is some
     # v + e_i, so the grown contents take every number below count
-    grown = (contents + np.eye(d, dtype=np.intp)[:, None]).reshape(-1, d)
-    nums, count = _weight_numbers(grown), math.comb(k + d - 1, k)
-    widths = np.bincount(nums, np.tile(sizes, d), count).astype(np.intp)
+    table = (contents + np.eye(d, dtype=np.intp)[:, None]).reshape(-1, d)
+    nums, count = _weight_numbers(table), math.comb(k + d - 1, k)
+    widths = np.bincount(nums, np.tile(heights, d), count).astype(np.intp)
     # a segment of each number (those of one number share its content)
     of = np.empty(count, dtype=np.intp)
     of[nums] = np.arange(len(nums))
     # a block has one row per word of its content; blocks by size, ties in
     # descending order of the letter counts, one after another in one buffer
-    order = np.lexsort(np.vstack([-grown[of, ::-1].T, widths]))
+    order = np.lexsort(np.vstack([-table[of, ::-1].T, widths]))
     block = np.empty(count, dtype=np.intp)
     block[order] = np.arange(count)
-    width = widths[order]
-    starts = np.cumsum(width * width) - width * width
-    buffer = np.zeros(starts[-1] + width[-1] ** 2)
+    sizes = widths[order]
+    starts = np.cumsum(sizes * sizes) - sizes * sizes
+    grown = np.zeros(starts[-1] + sizes[-1] ** 2)
     # (input weight, letter) -> the output weight and the first column of
     # the letter's span in its block
     grow = block[nums]
     segs = np.argsort(grow, kind="stable")
-    runs = np.tile(sizes, d)[segs]
+    runs = np.tile(heights, d)[segs]
     tops = np.cumsum(runs) - runs
     span = np.empty_like(grow)
-    span[segs] = tops - (np.cumsum(width) - width)[grow[segs]]
+    span[segs] = tops - (np.cumsum(sizes) - sizes)[grow[segs]]
     grow, span = grow.reshape(d, -1).T, span.reshape(d, -1).T
     # the columns of each segment: those of its input block, times d, plus i
     letter, v = np.divmod(segs, len(contents))
-    src = np.arange(len(cols) * d) + np.repeat(np.cumsum(sizes)[v] - sizes[v] - tops, runs)
+    src = np.arange(len(cols) * d) + np.repeat(np.cumsum(heights)[v] - heights[v] - tops, runs)
     grown_cols = cols[src] * d + np.repeat(letter, runs)
     # each input block's stack and its first row in the stack's rows
     sources = [s.reshape(-1, s.shape[-1]) for s in stacks]
@@ -211,7 +211,7 @@ def _cascade_step(stacks: list, contents, cols, ins: dict, d: int, k: int, tripl
             filled[lp] = top + p
             ws, row = outs[lp]
             weights.append(ws)
-            bases.append(starts[ws] + (row + top) * width[ws])
+            bases.append(starts[ws] + (row + top) * sizes[ws])
         rows, cols_in, x = triplets.pop(mu)
         q, i = np.divmod(cols_in, d)
         vs, row = ins[mu]
@@ -219,14 +219,14 @@ def _cascade_step(stacks: list, contents, cols, ins: dict, d: int, k: int, tripl
         w = grow[v, i]
         if not np.array_equal(w, np.concatenate(weights)[rows]):
             raise ValueError(f"CG block of {mu} at d={d} breaks torus weight")
-        writes = np.concatenate(bases)[rows] + span[v, i], width[w]
-        _couple(sources, buffer, in_stack[v], leads[v] + row[q], writes, x, p)
+        writes = np.concatenate(bases)[rows] + span[v, i], sizes[w]
+        _couple(sources, grown, in_stack[v], leads[v] + row[q], writes, x, p)
     # the blocks of each size m, one after another, are a (count, m, m) stack
     grown_stacks, top = [], 0
-    for m, many in Counter(width.tolist()).items():
-        grown_stacks.append(buffer[top : top + many * m * m].reshape(many, m, m))
-        top += many * m * m
-    return grown_stacks, grown[of[order]], grown_cols, outs
+    for m, count in Counter(sizes.tolist()).items():
+        grown_stacks.append(grown[top : top + count * m * m].reshape(count, m, m))
+        top += count * m * m
+    return grown_stacks, table[of[order]], grown_cols, outs
 
 
 # rows of the left product that conjugate gathers and transposes at a time
@@ -265,11 +265,11 @@ class SchurTransform:
     weight(q) + e_i.
 
     S is kept in the last step's buffer, with +0.0 for every zero entry.
-    by_weight maps a weight (the
-    letter counts) to the block's codec rows (ascending), its computational
-    columns (cascade order) and its matrix, a view into its stack; stacks
-    holds the stacks by size, cols the columns in block order and pos[r]
-    the block-order position of codec row r.  All arrays are read-only.
+    by_weight maps a weight (the letter counts) to the block's codec rows
+    (ascending), its computational columns (cascade order) and its matrix,
+    a view into its stack; stacks holds the stacks by size, cols the
+    columns in block order and pos[r] the block-order position of codec
+    row r.  All arrays are read-only.
     """
 
     def __init__(self, d: int, n: int):
@@ -477,7 +477,7 @@ def _cycle_types(n: int) -> tuple:
     """S_n as an (n!, n) array in all_permutations order, the distinct cycle
     types, and the index of each permutation's type among them."""
     types = [cycle_type(s) for s in all_permutations(n)]
-    distinct = list(dict.fromkeys(types))
+    distinct = tuple(dict.fromkeys(types))
     index = {mu: k for k, mu in enumerate(distinct)}
     perms, of = np.array(all_permutations(n)), np.array([index[mu] for mu in types])
     perms.flags.writeable = of.flags.writeable = False

@@ -47,6 +47,7 @@ from .combinatorics import (
     _grown,
     _shifted,
     _shrunk,
+    _unkept_levels,
     add_box,
     dim_q,
     enumerate_gz,
@@ -197,12 +198,7 @@ def cg_triplets(lams, d: int) -> dict:
     if d < 1:
         raise ValueError("d must be >= 1")
     lams = {normalize(lam) for lam in lams}
-    # the shapes not kept yet at each rank, from d down
-    shapes = [{lam for lam in lams if (lam, d) not in _TRIPLETS}]
-    for r in range(d - 1, 0, -1):
-        below = (interlacing_partitions(nu, r) for nu in shapes[-1])
-        shapes.append({mu for mus in below for mu in mus if (mu, r) not in _TRIPLETS})
-    for r, level in enumerate(reversed(shapes), 1):
+    for r, level in _unkept_levels(lams, d, _TRIPLETS):
         for nu in level:
             _TRIPLETS[nu, r] = _cg_triplets(nu, r)
             for a in _TRIPLETS[nu, r]:
