@@ -124,10 +124,8 @@ def _matrix_pieces(doc: dict, head: str, tail: str, block_text):
     parts = [head]
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        # the block's array is gone before its parts are joined
         block = np.array(doc["data"](start, stop), dtype=complex, order="C")
         parts += block_text(range(start, stop), block.view(np.float64).reshape(-1, 2))
-        del block
         if stop < rows:
             # hold no reference to a piece once yielded, nor to its parts
             parts = ["".join(parts)]
@@ -175,23 +173,29 @@ def _json_pairs(pairs: np.ndarray) -> list:
     return [_PAIR % (words[a], words[b]) for a, b in which.reshape(-1, 2).tolist()]
 
 
+# the longest run of zero entries spelled as one string
+_RUN = 64
+
+
 def _json_entries(pairs: np.ndarray, last: bool) -> list:
     """The indent=2 spellings of one block's entries, each followed by
-    ",\n" but the document's last (if last): one string per nonzero entry
-    and one per run of zero entries between them."""
+    ",\n" but the document's last (if last): one string per nonzero entry,
+    and a run of k zero entries as k // _RUN strings of _RUN of them and one
+    of k % _RUN, so the block holds at most _RUN distinct runs."""
     live, which, distinct = _distinct_pairs(pairs)
     spelled = np.array(_json_pairs(distinct), dtype=object)
     zero = spelled[0]
-    gaps = np.diff(live, prepend=-1, append=len(pairs)) - 1
-    runs = np.empty(gaps.max() + 1, dtype=object)
-    lengths = np.bincount(gaps).nonzero()[0]
-    runs[lengths] = np.array([zero * k for k in lengths.tolist()], dtype=object)
-    parts = np.empty(2 * len(gaps) - 1, dtype=object)
-    parts[0::2] = runs[gaps]
-    parts[1::2] = spelled[which]
-    parts = parts.tolist()
+    full, rest = np.divmod(np.diff(live, prepend=-1, append=len(pairs)) - 1, _RUN)
+    # per gap: its full runs, the rest of it and the nonzero entry after it
+    cells = np.empty((len(full), 3), dtype=object)
+    cells[:, 0] = zero * _RUN
+    cells[:, 1] = np.array([zero * k for k in range(_RUN)], dtype=object)[rest]
+    cells[:-1, 2], cells[-1, 2] = spelled[which], ""
+    counts = np.ones_like(cells, dtype=np.intp)
+    counts[:, 0] = full
+    parts = np.repeat(cells.reshape(-1), counts.reshape(-1)).tolist()
     if last:
-        if not parts[-1]:
+        while not parts[-1]:
             parts.pop()
         parts[-1] = parts[-1][:-2]
     return parts
