@@ -18,7 +18,9 @@ Conventions used throughout the package:
 Everything here is pure and uses unbounded Python integers, so all dimension
 formulas and index codecs are exact.  schur_polys gathers with numpy, but
 holds any non-float input in object arrays, so it is exact on Fractions and
-ints as well.
+ints as well.  The weight numbers of GZ patterns (_gz_numbers) are int64
+arrays, kept per (shape, rank) for the life of the process; numbering the
+weights of a size and length past the int64 range raises OverflowError.
 """
 
 from __future__ import annotations

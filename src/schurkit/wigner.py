@@ -26,7 +26,9 @@ cg_triplets assembles the rank-d block from these coefficients and the
 rank-(d-1) blocks; that_matrix is the d x d view of the coefficients for
 fixed (mu, mu''), its rows from _grown(mu, d) and its columns from mu'' and
 _shrunk(mu'').  A block is kept only as its coupling triplets: the (row,
-column, value) of every nonzero entry, rows ascending.  Input patterns
+column, value) of every nonzero entry, rows ascending, kept per (shape,
+rank) for the life of the process, since they do not depend on the rank of
+any later coupling.  Input patterns
 q = q' + (lam,) come in runs of equal q_{d-1} = mu.  Qudit value d leaves q'
 alone (j' = 0, mu'' = mu); a value i < d couples q' through the rank-(d-1)
 triplets of mu to outcomes (mu'' = mu + e_j', g'').  Each outcome goes to row

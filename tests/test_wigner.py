@@ -302,9 +302,10 @@ def test_cg_block_checks_the_dense_cap_first(monkeypatch):
 
 
 def test_cg_block_keeps_no_block_after_returning():
-    """The lower-rank blocks live only for one call: once the block of (1,)
-    at d = 32 is dropped, the package holds less than that block's size.
-    Measured in a fresh interpreter, so no earlier call has warmed a cache."""
+    """No dense block outlives its call: once the block of (1,) at d = 32 is
+    dropped, the package holds less than that block's size, the triplets it
+    keeps per (shape, rank) included.  Measured in a fresh interpreter, so
+    no earlier call has warmed a cache."""
     code = (
         "import gc, tracemalloc\n"
         "tracemalloc.start()\n"
