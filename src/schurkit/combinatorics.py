@@ -18,9 +18,10 @@ Conventions used throughout the package:
 Everything here is pure and uses unbounded Python integers, so all dimension
 formulas and index codecs are exact.  schur_polys gathers with numpy, but
 holds any non-float input in object arrays, so it is exact on Fractions and
-ints as well.  The weight numbers of GZ patterns (_gz_numbers) are int64
-arrays, kept per (shape, rank) for the life of the process; numbering the
-weights of a size and length past the int64 range raises OverflowError.
+ints as well.  The weight numbers of GZ patterns (_gz_numbers) are small
+integer arrays, kept per (shape, rank) for the life of the process;
+numbering the weights of a size and length past the int64 range raises
+OverflowError.
 """
 
 from __future__ import annotations
@@ -335,8 +336,9 @@ _GZ_NUMBERS = {}
 
 def _gz_numbers(lam, d: int) -> np.ndarray:
     """The number (_weight_numbers) of the gz_weight of each GZ pattern of
-    lam at rank d, in enumerate_gz order, as a read-only int64 array; lam
-    is canonical with at most d rows.
+    lam at rank d, in enumerate_gz order, as a read-only array of the
+    narrowest signed integer type that holds them; lam is canonical with at
+    most d rows.
 
     The patterns of lam at rank r are those of each mu interlacing lam at
     rank r - 1 in turn, each with |lam| - |mu| appended, which adds
@@ -348,11 +350,14 @@ def _gz_numbers(lam, d: int) -> np.ndarray:
             top = comb(size(nu) + r - 1, r - 1)
             if top > np.iinfo(np.int64).max:
                 raise OverflowError(f"the weights of size {size(nu)} in {r} parts pass int64")
+            # the numbers lie below top: the narrowest signed type holds them
+            kind = np.min_scalar_type(-top)
             mus = interlacing_partitions(nu, r - 1) if r > 1 else []
-            _GZ_NUMBERS[nu, r] = np.concatenate(
-                [_GZ_NUMBERS[mu, r - 1] + (top - comb(size(mu) + r - 1, r - 1)) for mu in mus]
-                or [np.zeros(1, dtype=np.int64)]
-            )
+            shifted = [
+                np.add(_GZ_NUMBERS[mu, r - 1], top - comb(size(mu) + r - 1, r - 1), dtype=kind)
+                for mu in mus
+            ]
+            _GZ_NUMBERS[nu, r] = np.concatenate(shifted or [np.zeros(1, dtype=kind)])
             _GZ_NUMBERS[nu, r].flags.writeable = False
     return _GZ_NUMBERS[lam, d]
 
@@ -360,9 +365,10 @@ def _gz_numbers(lam, d: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _gz_weights(lam, d: int) -> tuple:
     """The gz_weight of each GZ pattern of lam, in enumerate_gz order, read
-    from _gz_numbers(lam, d) one rank at a time from the top: a number is
-    that of the first p - 1 entries plus counts[p, e_p] - counts[p, e], e
-    the size of those entries, which the counts of rank p order."""
+    back from _gz_numbers(lam, d).  The number of a weight whose first p
+    entries sum to e_p is that of its first p - 1 entries, which sum to e,
+    plus counts[p, e_p] - counts[p, e] (_weight_counts); counts[p] rises
+    with e, so one search per rank, from p = d down, reads e back."""
     nums, left = _gz_numbers(lam, d), np.full(dim_q(lam, d), size(lam))
     counts, out = _weight_counts(d, size(lam)), np.empty((d, len(nums)), dtype=np.intp)
     for p in range(d, 1, -1):

@@ -274,12 +274,12 @@ class SchurTransform:
 
     def __init__(self, d: int, n: int):
         self.codec = SchurLabelCodec(d, n)
-        # S(d, 1) = I: letter i is the pattern of (1,) with weight e_i; the
-        # e_i, in descending order, are the blocks of one (d, 1, 1) stack
-        contents, cols, stacks = np.eye(d, dtype=np.intp), np.arange(d), [np.ones((d, 1, 1))]
-        block = np.empty(d, dtype=np.intp)
-        block[_weight_numbers(contents)] = np.arange(d)
-        patterns = _pattern_rows([(1,)], block, d)
+        # S(d, 1) = I: letter i is the pattern of (1,) with weight e_i, the
+        # weight numbered i; the e_i, in descending order, are the blocks of
+        # one (d, 1, 1) stack (the table of their contents is d x d, so it
+        # takes the narrowest type)
+        contents, cols, stacks = np.eye(d, dtype=np.int8), np.arange(d), [np.ones((d, 1, 1))]
+        patterns = _pattern_rows([(1,)], np.arange(d), d)
         # the triplets of every shape that some step couples, each built once
         coupled = (mu for size in range(1, n) for mu in enumerate_partitions(d, size))
         triplets = cg_triplets(coupled, d)
@@ -313,7 +313,8 @@ class SchurTransform:
         spans = [slice(end - m, end) for end, m in zip(ends, sizes.tolist())]
         views = [view for stack in stacks for view in stack]
         blocks = ((all_rows[s], cols[s], view) for s, view in zip(spans, views))
-        self.by_weight = dict(zip(map(tuple, contents.tolist()), blocks))
+        # one row of contents at a time: at n = 1 the table is d x d
+        self.by_weight = dict(zip((tuple(w.tolist()) for w in contents), blocks))
         self.stacks, self.cols = stacks, cols
 
     def sector_rows(self, lam, qi: int) -> tuple:

@@ -168,6 +168,8 @@ def test_weight_numbers_number_the_weights_of_each_size():
             weights = weights_of_size(d, n)
             numbers = _weight_numbers(np.array(weights).reshape(-1, d))
             assert sorted(numbers.tolist()) == list(range(len(weights)))
+            if n == 1:  # the cascade's first step reads e_i as weight number i
+                assert numbers.tolist() == list(range(d))
             for lam in enumerate_partitions(d, n):
                 patterns = np.array([gz_weight(g) for g in enumerate_gz(lam, d)])
                 assert np.array_equal(_gz_numbers(lam, d), _weight_numbers(patterns))

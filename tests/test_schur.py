@@ -546,7 +546,10 @@ from schurkit.schur_transform import SchurTransform, schur
 built, cells = json.loads(sys.argv[1])
 for d, n in built:
     schur(d, n)
-print(json.dumps([hashlib.sha256(SchurTransform(d, n).dense.matrix.tobytes()).hexdigest() for d, n in cells]))
+digests = []
+for d, n in cells:
+    digests.append(hashlib.sha256(SchurTransform(d, n).dense.matrix.tobytes()).hexdigest())
+print(json.dumps(digests))
 """
 
 
