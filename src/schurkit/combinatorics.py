@@ -318,16 +318,21 @@ def _weight_numbers(weights: np.ndarray) -> np.ndarray:
 
 
 def _unkept_levels(lams, d: int, kept) -> list:
-    """(r, the shapes at rank r that kept lacks) for r = 1..d, bottom-up:
-    the lams themselves at rank d, and below each shape lacking at rank r
-    the shapes interlacing it at rank r - 1.  What a table kept per (shape,
-    rank), each built from those at the rank below, must add for the lams
-    at rank d, found without recursion."""
-    shapes = [{lam for lam in lams if (lam, d) not in kept}]
-    for r in range(d - 1, 0, -1):
-        below = (interlacing_partitions(nu, r) for nu in shapes[-1])
-        shapes.append({mu for mus in below for mu in mus if (mu, r) not in kept})
-    return list(enumerate(reversed(shapes), 1))
+    """(r, {shape at rank r that kept lacks: the shapes interlacing it at
+    rank r - 1}) for r = 1..d, bottom-up: the lams themselves at rank d,
+    and below each shape lacking at rank r the shapes interlacing it.  What
+    a table kept per (shape, rank), each built from those at the rank
+    below, must add for the lams at rank d, found without recursion."""
+    levels = [dict.fromkeys(lam for lam in lams if (lam, d) not in kept)]
+    for r in range(d, 1, -1):
+        below = {}
+        for nu in levels[-1]:
+            levels[-1][nu] = interlacing_partitions(nu, r - 1)
+            below.update((mu, None) for mu in levels[-1][nu] if (mu, r - 1) not in kept)
+        levels.append(below)
+    # nothing lies below rank 1
+    levels[-1] = dict.fromkeys(levels[-1], [])
+    return list(enumerate(reversed(levels), 1))
 
 
 # (lam, rank) -> _gz_numbers(lam, rank), for every pair some call has reached
@@ -346,13 +351,12 @@ def _gz_numbers(lam, d: int) -> np.ndarray:
     arrays are built bottom-up over the ranks, each (shape, rank) once per
     process and kept for every later call."""
     for r, level in _unkept_levels([lam], d, _GZ_NUMBERS):
-        for nu in level:
+        for nu, mus in level.items():
             top = comb(size(nu) + r - 1, r - 1)
             if top > np.iinfo(np.int64).max:
                 raise OverflowError(f"the weights of size {size(nu)} in {r} parts pass int64")
             # the numbers lie below top: the narrowest signed type holds them
             kind = np.min_scalar_type(-top)
-            mus = interlacing_partitions(nu, r - 1) if r > 1 else []
             shifted = [
                 np.add(_GZ_NUMBERS[mu, r - 1], top - comb(size(mu) + r - 1, r - 1), dtype=kind)
                 for mu in mus

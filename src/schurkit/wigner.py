@@ -27,15 +27,14 @@ rank-(d-1) blocks; that_matrix is the d x d view of the coefficients for
 fixed (mu, mu''), its rows from _grown(mu, d) and its columns from mu'' and
 _shrunk(mu'').  A block is kept only as its coupling triplets: the (row,
 column, value) of every nonzero entry, rows ascending, kept per (shape,
-rank) for the life of the process, since they do not depend on the rank of
-any later coupling.  Input patterns
-q = q' + (lam,) come in runs of equal q_{d-1} = mu.  Qudit value d leaves q'
-alone (j' = 0, mu'' = mu); a value i < d couples q' through the rank-(d-1)
-triplets of mu to outcomes (mu'' = mu + e_j', g'').  Each outcome goes to row
-(lam + e_j, g'' + (lam + e_j,)) scaled by the coefficient of
-(lam, j | mu, j').  By the weight rule such a block couples (q, i) only to
-patterns of weight weight(q) + e_i, so it holds a few entries per column;
-cg_block is the dense view, formed on request.
+rank) for the life of the process, since no later coupling changes them.
+Input patterns q = q' + (lam,) come in runs of equal q_{d-1} = mu.  Qudit
+value d leaves q' alone (j' = 0, mu'' = mu); a value i < d couples q'
+through the rank-(d-1) triplets of mu to outcomes (mu'' = mu + e_j', g'').
+Each outcome goes to row (lam + e_j, g'' + (lam + e_j,)) scaled by the
+coefficient of (lam, j | mu, j').  By the weight rule such a block couples
+(q, i) only to patterns of weight weight(q) + e_i, so it holds a few
+entries per column; cg_block is the dense view, formed on request.
 """
 
 from __future__ import annotations
