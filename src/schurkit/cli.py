@@ -21,11 +21,11 @@ import numpy as np
 
 from .channels import channel_normal_form, kronecker
 from .combinatorics import (
+    _kostka_rows,
     count_partitions,
     dim_p,
     dim_q,
     enumerate_partitions,
-    kostka,
     parse_partition,
     partition_str,
     weights_of_size,
@@ -378,9 +378,7 @@ def _cmd_kostka(args):
     _require_count(math.comb(args.n + args.d - 1, args.n), f"{args.d}-letter weights of {args.n}")
     lams = lams or enumerate_partitions(args.d, args.n)
     weights = weights_of_size(args.d, args.n)
-    rows = [
-        [partition_str(lam)] + [kostka(lam, mu) for mu in weights] for lam in lams
-    ]
+    rows = [[partition_str(lam)] + row for lam, row in zip(lams, _kostka_rows(lams, weights))]
     columns = ["lambda"] + [",".join(str(x) for x in mu) for mu in weights]
     return table_document(columns, rows), EXIT_OK
 

@@ -40,9 +40,10 @@ import numpy as np
 def normalize(parts) -> tuple:
     """Canonical form: tuple with trailing zeros trimmed."""
     parts = tuple(int(x) for x in parts)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
+    end = len(parts)
+    while end and parts[end - 1] == 0:
+        end -= 1
+    return parts[:end]
 
 
 def is_partition(parts) -> bool:
@@ -147,11 +148,11 @@ def _grown(lam, d: int) -> list:
     the add-a-box branching rule: add_box, the CG build and the selection
     rules of the reduced Wigner coefficients all read it."""
     rows = len(normalize(lam))
-    lam = pad(lam, d)
     # past row rows + 1, lam + e_j is not a partition
+    lam = pad(lam, min(d, rows + 1))
     return [
         (j + 1, normalize(lam[:j] + (lam[j] + 1,) + lam[j + 1 :]))
-        for j in range(min(d, rows + 1))
+        for j in range(len(lam))
         if j == 0 or lam[j - 1] > lam[j]
     ]
 
@@ -244,52 +245,40 @@ def multinomial(n: int, weight) -> int:
 # GZ patterns and YY paths
 
 
-def _gz_table(lam, d: int, leaf, tail) -> tuple:
-    """(leaf(q_1), tail(q_2, q_1), ..., tail(q_d, q_(d-1))) for each GZ
-    pattern (q_1, ..., q_d) of lam at rank d, in enumerate_gz order: a
-    depth-first walk from q_d = lam down the interlacing shapes, so that
-    nothing recurses however large d is."""
-    edges = {}  # (mu, k) -> (nu, tail(mu, nu)) for nu interlacing mu at rank k
-
-    def below(mu, k):
-        if (mu, k) not in edges:
-            edges[mu, k] = [(nu, tail(mu, nu)) for nu in interlacing_partitions(mu, k - 1)]
-        return iter(edges[mu, k])
-
-    if d == 1:
-        return ((leaf(lam),),)
-    out, tails, stack = [], [], [below(lam, d)]
-    # stack[i] walks the edges below the shape at rank d - i; tails[i] is
-    # the tail of the edge it took
-    while stack:
-        mu, t = next(stack[-1], (None, None))
-        if mu is None:
-            stack.pop()
-            if tails:
-                tails.pop()
-            continue
-        tails.append(t)
-        k = d - len(tails)  # the rank of mu
-        if k == 1 or not mu:
-            # below an empty shape every shape is empty, down to rank 1
-            out.append((leaf(mu),) + (tail(mu, mu),) * (k - 1) + tuple(reversed(tails)))
-            tails.pop()
-        else:
-            stack.append(below(mu, k))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def enumerate_gz(lam, d: int) -> tuple:
     """All GZ patterns of shape lam at rank d, as chains (q_1, ..., q_d).
 
     Order: outermost by q_{d-1} descending lexicographic, then recursively;
-    this is the order the Schur label codec uses.
+    this is the order the Schur label codec uses.  A depth-first walk from
+    q_d = lam down the interlacing shapes, so that nothing recurses however
+    large d is.
     """
     lam = normalize(lam)
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than {d} rows")
-    return _gz_table(lam, d, lambda mu: mu, lambda top, mu: top)
+    if d == 1:
+        return ((lam,),)
+    below = {}  # (mu, k) -> the shapes interlacing mu at rank k - 1
+    out, chain, stack = [], [lam], [iter(interlacing_partitions(lam, d - 1))]
+    # chain[i] is the shape at rank d - i, and stack[i] walks the shapes
+    # interlacing it
+    while stack:
+        mu = next(stack[-1], None)
+        if mu is None:
+            stack.pop()
+            chain.pop()
+            continue
+        k = d - len(chain)  # the rank of mu
+        if k == 1 or not mu:
+            # below an empty shape every shape is empty, down to rank 1
+            out.append((mu,) * k + tuple(reversed(chain)))
+        else:
+            if (mu, k) not in below:
+                below[mu, k] = interlacing_partitions(mu, k - 1)
+            chain.append(mu)
+            stack.append(iter(below[mu, k]))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -319,12 +308,16 @@ def _weight_numbers(weights: np.ndarray) -> np.ndarray:
 
 def _unkept_levels(lams, d: int, kept) -> list:
     """(r, {shape at rank r that kept lacks: the shapes interlacing it at
-    rank r - 1}) for r = 1..d, bottom-up: the lams themselves at rank d,
-    and below each shape lacking at rank r the shapes interlacing it.  What
-    a table kept per (shape, rank), each built from those at the rank
-    below, must add for the lams at rank d, found without recursion."""
+    rank r - 1}), bottom-up: the lams themselves at rank d, and below each
+    shape lacking at rank r, in first-seen order, the shapes interlacing it.
+    What a table kept per (shape, rank), each built from those at the rank
+    below, must add for the lams at rank d, found without recursion.  The
+    walk down stops at the first rank where nothing is lacking, so once the
+    lams are kept it is the one empty level of rank d."""
     levels = [dict.fromkeys(lam for lam in lams if (lam, d) not in kept)]
     for r in range(d, 1, -1):
+        if not levels[-1]:
+            break
         below = {}
         for nu in levels[-1]:
             levels[-1][nu] = interlacing_partitions(nu, r - 1)
@@ -332,7 +325,7 @@ def _unkept_levels(lams, d: int, kept) -> list:
         levels.append(below)
     # nothing lies below rank 1
     levels[-1] = dict.fromkeys(levels[-1], [])
-    return list(enumerate(reversed(levels), 1))
+    return list(zip(range(d, 0, -1), levels))[::-1]
 
 
 # (lam, rank) -> _gz_numbers(lam, rank), for every pair some call has reached
@@ -364,34 +357,6 @@ def _gz_numbers(lam, d: int) -> np.ndarray:
             _GZ_NUMBERS[nu, r] = np.concatenate(shifted or [np.zeros(1, dtype=kind)])
             _GZ_NUMBERS[nu, r].flags.writeable = False
     return _GZ_NUMBERS[lam, d]
-
-
-@lru_cache(maxsize=None)
-def _gz_weights(lam, d: int) -> tuple:
-    """The gz_weight of each GZ pattern of lam, in enumerate_gz order, read
-    back from _gz_numbers(lam, d).  The number of a weight whose first p
-    entries sum to e_p is that of its first p - 1 entries, which sum to e,
-    plus counts[p, e_p] - counts[p, e] (_weight_counts); counts[p] rises
-    with e, so one search per rank, from p = d down, reads e back."""
-    nums, left = _gz_numbers(lam, d), np.full(dim_q(lam, d), size(lam))
-    counts, out = _weight_counts(d, size(lam)), np.empty((d, len(nums)), dtype=np.intp)
-    for p in range(d, 1, -1):
-        gap = counts[p].take(left) - nums
-        below = counts[p].searchsorted(gap)
-        out[p - 1] = left - below
-        nums, left = counts[p].take(below) - gap, below
-    out[0] = left
-    return tuple(map(tuple, out.T.copy().tolist()))
-
-
-@lru_cache(maxsize=None)
-def _weight_classes(lam, d: int) -> dict:
-    """GZ weight -> indices of the patterns of lam with that weight, in
-    enumerate_gz order; lam is canonical with at most d rows."""
-    nums, weights = _gz_numbers(lam, d), _gz_weights(lam, d)
-    order = np.argsort(nums, kind="stable")
-    classes = np.split(order, np.flatnonzero(np.diff(nums[order])) + 1)
-    return {weights[ks[0]]: ks for ks in sorted(classes, key=lambda ks: ks[0])}
 
 
 def gz_weight(pattern) -> tuple:
@@ -481,10 +446,27 @@ def kostka(lam, mu) -> int:
     mu = tuple(int(x) for x in mu)
     if size(lam) != sum(mu):
         raise ValueError("shape and weight must have the same size")
-    d = len(mu)
-    if len(lam) > d:
+    if len(lam) > len(mu) or min(mu, default=0) < 0:
         return 0
-    return len(_weight_classes(lam, d).get(mu, ()))
+    # not a bincount: the numbers of even one pattern, as that of (1^n) at
+    # d = n, run up to C(n + d - 1, n), 4.5e10 at n = 20
+    return int(np.count_nonzero(_gz_numbers(lam, len(mu)) == _weight_numbers([mu])[0]))
+
+
+def _kostka_rows(lams, weights) -> list:
+    """[kostka(lam, mu) for mu in weights] for each lam in lams, where
+    weights are all the weights of one size in d parts, so numbered
+    0..len(weights) - 1 (_weight_numbers): per shape one bincount of the
+    numbers of its patterns, read at the numbers of the weights."""
+    n, d = sum(weights[0]), len(weights[0])
+    numbers, rows = _weight_numbers(weights), []
+    for lam in map(normalize, lams):
+        if size(lam) != n:
+            raise ValueError("shape and weight must have the same size")
+        # a shape of more than d rows has no pattern
+        nums = _gz_numbers(lam, d) if len(lam) <= d else np.zeros(0, dtype=np.intp)
+        rows.append(np.bincount(nums, minlength=len(weights))[numbers].tolist())
+    return rows
 
 
 def schur_poly(lam, r):
@@ -535,22 +517,17 @@ def _branching_plan(shapes: tuple, d: int) -> tuple:
     k = 2..d the index of every interlacing mu (interlacing_partitions
     order) among the shapes of depth k - 1, its exponent |lam| - |mu|, one
     more than the largest exponent, and the bounds of each shape's run."""
-    level, steps = list(shapes), []
-    for k in range(d, 1, -1):
-        below, runs = {}, []
-        for lam in level:
-            runs.append(interlacing_partitions(lam, k - 1))
-            for mu in runs[-1]:
-                below.setdefault(mu, len(below))
-        exps = [size(lam) - size(mu) for lam, run in zip(level, runs) for mu in run]
-        idx = np.array([below[mu] for run in runs for mu in run], dtype=np.intp)
+    levels, steps = [level for _, level in _unkept_levels(shapes, d, {})], []
+    for below, level in pairwise(levels):
+        index = {mu: i for i, mu in enumerate(below)}
+        exps = [size(lam) - size(mu) for lam, run in level.items() for mu in run]
+        idx = np.array([index[mu] for run in level.values() for mu in run], dtype=np.intp)
         top = max(exps, default=0) + 1
         exps = np.array(exps, dtype=np.intp)
         idx.flags.writeable = exps.flags.writeable = False
-        bounds = tuple(accumulate(map(len, runs), initial=0))
+        bounds = tuple(accumulate(map(len, level.values()), initial=0))
         steps.append((idx, exps, top, bounds))
-        level = list(below)
-    return tuple(size(mu) for mu in level), tuple(reversed(steps))
+    return tuple(map(size, levels[0])), tuple(steps)
 
 
 # ---------------------------------------------------------------------------

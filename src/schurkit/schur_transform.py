@@ -17,7 +17,6 @@ import numpy as np
 from .characters import character
 from .combinatorics import (
     _gz_numbers,
-    _gz_weights,
     _weight_numbers,
     add_box,
     dim_p,
@@ -161,7 +160,7 @@ def _cascade_step(stacks: list, contents, cols, ins: dict, d: int, k: int, tripl
     """The weight-block stacks, contents, columns and pattern rows
     (_pattern_rows) of S(d, k) = CG_k (S(d, k - 1) tensor I) from those of
     S(d, k - 1), popping the triplets of each shape of size k - 1 (see
-    SchurTransform)."""
+    SchurTransform), and the block of each weight number."""
     heights = np.repeat([s.shape[1] for s in stacks], [len(s) for s in stacks])
     # segment f = i * len(contents) + v holds the words of input block v
     # followed by letter i; they land in the block of content v + e_i, the
@@ -226,7 +225,7 @@ def _cascade_step(stacks: list, contents, cols, ins: dict, d: int, k: int, tripl
     for m, count in Counter(sizes.tolist()).items():
         grown_stacks.append(grown[top : top + count * m * m].reshape(count, m, m))
         top += count * m * m
-    return grown_stacks, table[of[order]], grown_cols, outs
+    return grown_stacks, table[of[order]], grown_cols, outs, block
 
 
 # rows of the left product that conjugate gathers and transposes at a time
@@ -265,11 +264,12 @@ class SchurTransform:
     weight(q) + e_i.
 
     S is kept in the last step's buffer, with +0.0 for every zero entry.
-    by_weight maps a weight (the letter counts) to the block's codec rows
-    (ascending), its computational columns (cascade order) and its matrix,
-    a view into its stack; stacks holds the stacks by size, cols the
-    columns in block order and pos[r] the block-order position of codec
-    row r.  All arrays are read-only.
+    by_weight[c] is the block of the weight numbered c (_weight_numbers),
+    for c = 0..C(n + d - 1, n) - 1: its codec rows (ascending), its
+    computational columns (cascade order) and its matrix, a view into its
+    stack; stacks holds the stacks by size, cols the columns in block order
+    and pos[r] the block-order position of codec row r.  All arrays are
+    read-only.
     """
 
     def __init__(self, d: int, n: int):
@@ -279,12 +279,13 @@ class SchurTransform:
         # one (d, 1, 1) stack (the table of their contents is d x d, so it
         # takes the narrowest type)
         contents, cols, stacks = np.eye(d, dtype=np.int8), np.arange(d), [np.ones((d, 1, 1))]
-        patterns = _pattern_rows([(1,)], np.arange(d), d)
+        block = np.arange(d)
+        patterns = _pattern_rows([(1,)], block, d)
         # the triplets of every shape that some step couples, each built once
         coupled = (mu for size in range(1, n) for mu in enumerate_partitions(d, size))
         triplets = cg_triplets(coupled, d)
         for k in range(2, n + 1):
-            stacks, contents, cols, patterns = _cascade_step(
+            stacks, contents, cols, patterns, block = _cascade_step(
                 stacks, contents, cols, patterns, d, k, triplets
             )
         # a negative CG coefficient scales a zero entry to -0.0; + 0.0 makes
@@ -312,9 +313,8 @@ class SchurTransform:
         ends = np.cumsum(sizes).tolist()
         spans = [slice(end - m, end) for end, m in zip(ends, sizes.tolist())]
         views = [view for stack in stacks for view in stack]
-        blocks = ((all_rows[s], cols[s], view) for s, view in zip(spans, views))
-        # one row of contents at a time: at n = 1 the table is d x d
-        self.by_weight = dict(zip((tuple(w.tolist()) for w in contents), blocks))
+        blocks = [(all_rows[s], cols[s], view) for s, view in zip(spans, views)]
+        self.by_weight = tuple(blocks[b] for b in block.tolist())
         self.stacks, self.cols = stacks, cols
 
     def sector_rows(self, lam, qi: int) -> tuple:
@@ -323,7 +323,7 @@ class SchurTransform:
         columns; ValueError unless qi is an index in [1, dim_q(lam)], which
         the codec checks before a weight is picked."""
         first, np_ = self.codec.index(lam, qi, 1), self.codec.sector(lam)[2]
-        rows, cols, block = self.by_weight[_gz_weights(normalize(lam), self.codec.d)[qi - 1]]
+        rows, cols, block = self.by_weight[_gz_numbers(normalize(lam), self.codec.d)[qi - 1]]
         top = np.searchsorted(rows, first)
         return block[top : top + np_], cols
 
@@ -336,7 +336,7 @@ class SchurTransform:
         if not 0 <= start <= stop <= dim:
             raise ValueError(f"rows must lie in 0..{dim}, got {start}..{stop}")
         out = np.zeros((stop - start, dim))
-        for rows, cols, block in self.by_weight.values():
+        for rows, cols, block in self.by_weight:
             if start > rows[0] or rows[-1] >= stop:
                 lo, hi = np.searchsorted(rows, (start, stop)).tolist()
                 rows, block = rows[lo:hi], block[lo:hi]

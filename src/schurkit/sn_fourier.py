@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .characters import young_orthogonal
-from .combinatorics import dim_p, enumerate_partitions
+from .combinatorics import _weight_numbers, dim_p, enumerate_partitions
 from .operators import DenseOperator, _image_indices, max_or_nan, real_complex_matmul, require_dense
 from .permutations import all_permutations, identity, transposition
 from .schur_transform import schur
@@ -52,7 +53,7 @@ def sn_qft_from_schur(n: int):
     # the rows of the weight (1, ..., 1) block are in codec order and its
     # columns, the words with distinct letters, in cascade order; sorted by
     # index, those words are in all_permutations order
-    rows, cols, block = t.by_weight[(1,) * n]
+    rows, cols, block = t.by_weight[_all_ones_number(n)]
     layout = FourierBlockLayout(n=n)
     start = 0
     for lam in enumerate_partitions(n, n):
@@ -64,6 +65,12 @@ def sn_qft_from_schur(n: int):
         col_labels=list(all_permutations(n)),
     )
     return op, layout
+
+
+@lru_cache(maxsize=None)
+def _all_ones_number(n: int) -> int:
+    """The number (_weight_numbers) of the weight (1, ..., 1) of size n."""
+    return int(_weight_numbers([(1,) * n])[0])
 
 
 def _regular_indices(s1, s2, n: int) -> np.ndarray:

@@ -18,8 +18,12 @@ from schurkit.cli import _build_parser, _emit, _num, main, matrix_document
 from schurkit.combinatorics import (
     _branching_plan,
     count_partitions,
+    enumerate_gz,
     enumerate_partitions,
+    gz_weight,
+    kostka,
     partition_str,
+    weights_of_size,
 )
 from schurkit.qtypes import trace_bound_check
 
@@ -324,6 +328,25 @@ def test_schur_documents_keep_their_bytes(capsys, monkeypatch, d, n, fmt):
         monkeypatch.setattr(cli, "_BLOCK", block)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == _SCHUR_SHA256[d, n, fmt]
+
+
+@pytest.mark.parametrize(
+    "d,n,lam",
+    [(1, 4, None), (2, 5, None), (3, 5, None), (4, 4, None), (2, 5, "3,1,1"), (3, 4, "2,1,1")],
+)
+def test_kostka_table_counts_the_patterns_of_each_weight(capsys, d, n, lam):
+    argv = ("kostka", "--d", str(d), "--n", str(n)) + (("--lambda", lam) if lam else ())
+    code, doc = run_json(capsys, *argv)
+    weights = weights_of_size(d, n)
+    assert code == 0 and doc["columns"][1:] == [",".join(map(str, mu)) for mu in weights]
+    shapes = [tuple(map(int, lam.split(",")))] if lam else enumerate_partitions(d, n)
+    assert [row[0] for row in doc["rows"]] == [partition_str(s) for s in shapes]
+    for shape, row in zip(shapes, doc["rows"]):
+        # a shape of more than d rows has no pattern
+        found = [gz_weight(g) for g in enumerate_gz(shape, d)] if len(shape) <= d else []
+        assert row[1:] == [found.count(mu) for mu in weights]
+    # a weight with a negative entry has no pattern either
+    assert kostka((2, 1), (4, -1)) == kostka((1,), (0, 2, -1)) == 0
 
 
 def test_kostka_past_the_cap_exits_1_at_once(capsys):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurkit import combinatorics
 from schurkit.combinatorics import (
     _branching_plan,
     _gz_numbers,
-    _gz_weights,
+    _unkept_levels,
     _weight_numbers,
     add_box,
     count_partitions,
@@ -157,7 +158,8 @@ def test_gz_tables_and_weights_follow_the_recursive_order():
                 assert interlacing_partitions(lam, d - 1) == _recursive_interlacing(lam, d - 1)
                 patterns = _recursive_gz(lam, d)
                 assert list(enumerate_gz(lam, d)) == patterns
-                assert list(_gz_weights(lam, d)) == [gz_weight(g) for g in patterns]
+                weights = [gz_weight(g) for g in patterns]
+                assert _gz_numbers(lam, d).tolist() == _weight_numbers(weights).tolist()
                 for mu in weights_of_size(d, n)[:: d + 1]:
                     assert kostka(lam, mu) == sum(gz_weight(g) == mu for g in patterns)
 
@@ -180,10 +182,16 @@ def test_gz_tables_and_weights_run_past_the_recursion_limit():
     patterns = enumerate_gz((1,), d)
     assert len(patterns) == d and patterns[0] == ((1,),) * d
     assert patterns[-1] == ((),) * (d - 1) + ((1,),)
-    weights = _gz_weights((1,), d)
-    assert weights == tuple(weights_of_size(d, 1)) == tuple(map(gz_weight, patterns))
+    assert weights_of_size(d, 1) == list(map(gz_weight, patterns))
+    assert _gz_numbers((1,), d).tolist() == list(range(d))
     assert weights_of_size(d, 1) == [tuple(int(i == j) for i in range(d)) for j in range(d)]
     assert kostka((1,), (0,) * (d - 1) + (1,)) == 1
+
+
+def test_kept_tables_walk_no_rank_below_their_own():
+    for lam, d in [((2, 1), 5), ((3, 1, 1), 4), ((1,), sys.getrecursionlimit() + 100)]:
+        _gz_numbers(lam, d)
+        assert _unkept_levels([lam], d, combinatorics._GZ_NUMBERS) == [(d, {})]
 
 
 def test_yy_index_bijection():

@@ -123,10 +123,9 @@ def test_schur_unitary_hands_out_a_fresh_matrix():
 def test_weight_classes_group_the_patterns_by_gz_weight(d, n):
     for lam in enumerate_partitions(d, n):
         weights = [gz_weight(g) for g in enumerate_gz(lam, d)]
-        classes = combinatorics._weight_classes(lam, d)
-        assert list(classes) == list(dict.fromkeys(weights))
-        for w, ks in classes.items():
-            assert ks.tolist() == [k for k, v in enumerate(weights) if v == w]
+        numbers = combinatorics._gz_numbers(lam, d).tolist()
+        # two patterns share a number exactly when they share a weight
+        assert len(set(zip(weights, numbers))) == len(set(weights)) == len(set(numbers))
 
 
 @pytest.mark.parametrize(
@@ -487,7 +486,7 @@ def test_weight_blocks_are_read_only():
     for a in (block, cols):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
-    for arrays in t.by_weight.values():
+    for arrays in t.by_weight:
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.reshape(-1)[0] = 1
@@ -499,7 +498,7 @@ def test_dense_view_matches_a_per_block_scatter(d, n, rng):
     t = schur(d, n)
     dim = d**n
     expected = np.zeros((dim, dim))
-    for rows, cols, block in t.by_weight.values():
+    for rows, cols, block in t.by_weight:
         expected[np.ix_(rows, cols)] = block
     s = t.dense.matrix
     assert s.dtype == expected.dtype and s.tobytes() == expected.tobytes()
@@ -509,6 +508,22 @@ def test_dense_view_matches_a_per_block_scatter(d, n, rng):
     mat = rng.normal(size=(dim, dim))
     for x in (mat, mat + 1j * rng.normal(size=(dim, dim))):
         assert np.abs(t.conjugate(x) - s @ x @ s.T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3), (32, 2), (1, 3), (3, 1)])
+def test_the_block_of_each_weight_number_holds_the_words_of_that_weight(d, n):
+    t = schur(d, n)
+    assert len(t.by_weight) == math.comb(n + d - 1, n)
+    # the letter counts of each word (column), and the weight number of each
+    # codec row's GZ pattern
+    letters = np.arange(d**n)[:, None] // d ** np.arange(n) % d
+    words = combinatorics._weight_numbers((letters[:, :, None] == np.arange(d)).sum(axis=1))
+    shapes = enumerate_partitions(d, n)
+    patterns = np.concatenate([np.repeat(combinatorics._gz_numbers(s, d), dim_p(s)) for s in shapes])
+    for c, (rows, cols, block) in enumerate(t.by_weight):
+        assert np.array_equal(np.sort(cols), np.flatnonzero(words == c))
+        assert np.array_equal(rows, np.flatnonzero(patterns == c))
+        assert block.shape == (len(rows), len(cols))
 
 
 @pytest.mark.parametrize("d,n", [(4, 3), (3, 4), (10, 2), (2, 5), (1, 3)])
