@@ -82,8 +82,6 @@ def enumerate_partitions(d: int, n: int) -> list:
         if remaining == 0:
             yield ()
             return
-        if rows == 0:
-            return
         # first part must leave a feasible remainder for the rows below it
         lo = -(-remaining // rows)  # ceil division
         for first in range(min(remaining, maxpart), lo - 1, -1):
@@ -195,15 +193,19 @@ def _shifted(lam, d: int) -> tuple:
 @lru_cache(maxsize=None)
 def dim_q(lam, d: int) -> int:
     """Dimension of the unitary-group irrep labeled lam at rank d
-    (number of GZ patterns; Weyl product over shifted row differences)."""
+    (number of GZ patterns; Weyl product over shifted row differences).
+    The empty rows j = len(lam)..d-1 below row i give prod (lam_i + j - i) /
+    (j - i) = C(lam_i + d-1-i, lam_i) / C(lam_i + len(lam)-1-i, lam_i)."""
     lam = normalize(lam)
-    lt = _shifted(lam, d)
+    if len(lam) > d:
+        raise ValueError(f"partition {lam} has more than {d} rows")
     num = den = 1
-    # a pair of empty rows contributes (j - i) / (j - i)
-    for i in range(len(lam)):
-        for j in range(i + 1, d):
-            num *= lt[i] - lt[j]
+    for i, part in enumerate(lam):
+        for j in range(i + 1, len(lam)):
+            num *= part - lam[j] + j - i
             den *= j - i
+        num *= comb(part + d - 1 - i, part)
+        den *= comb(part + len(lam) - 1 - i, part)
     q, r = divmod(num, den)
     assert r == 0
     return q
@@ -214,8 +216,6 @@ def dim_p(lam) -> int:
     """Dimension of the symmetric-group irrep labeled lam
     (number of standard tableaux)."""
     lam = normalize(lam)
-    if not lam:
-        return 1
     d = len(lam)
     n = size(lam)
     lt = _shifted(lam, d)
@@ -257,8 +257,6 @@ def enumerate_gz(lam, d: int) -> tuple:
     lam = normalize(lam)
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than {d} rows")
-    if d == 1:
-        return ((lam,),)
     below = {}  # (mu, k) -> the shapes interlacing mu at rank k - 1
     out, chain, stack = [], [lam], [iter(interlacing_partitions(lam, d - 1))]
     # chain[i] is the shape at rank d - i, and stack[i] walks the shapes
@@ -301,7 +299,7 @@ def _weight_numbers(weights: np.ndarray) -> np.ndarray:
     entries (_weight_counts), a bijection onto 0..counts[d, s] - 1."""
     weights = np.asarray(weights, dtype=np.intp)
     ends = np.cumsum(weights, axis=1)
-    counts = _weight_counts(weights.shape[1], int(ends[0, -1]))
+    counts = _weight_counts(weights.shape[1], int(weights[0].sum()))
     p = np.arange(1, weights.shape[1] + 1)
     return (counts[p, ends] - counts[p, ends - weights]).sum(axis=1)
 
@@ -328,8 +326,9 @@ def _unkept_levels(lams, d: int, kept) -> list:
     return list(zip(range(d, 0, -1), levels))[::-1]
 
 
-# (lam, rank) -> _gz_numbers(lam, rank), for every pair some call has reached
-_GZ_NUMBERS = {}
+# (lam, rank) -> _gz_numbers(lam, rank), for every pair reached; no walk reaches rank 0: seeded
+_GZ_NUMBERS = {((), 0): np.zeros(1, dtype=np.int8)}
+_GZ_NUMBERS[(), 0].flags.writeable = False
 
 
 def _gz_numbers(lam, d: int) -> np.ndarray:
@@ -376,8 +375,6 @@ def enumerate_yy(lam) -> tuple:
     n = size(lam)
     if n == 0:
         return ((),)
-    if n == 1:
-        return (((1,),),)
     out = []
     for mu in sorted(remove_box(lam), reverse=True):
         for sub in enumerate_yy(mu):

@@ -73,13 +73,13 @@ def all_permutations(n: int) -> tuple:
 
 def conjugacy_classes(n: int) -> dict:
     """Map cycle type -> class size: n! / (prod_k k^{m_k} m_k!) where m_k is
-    the number of k-cycles."""
+    the number of k-cycles; S_0 has one class, the empty cycle type."""
     from math import factorial
 
     from .combinatorics import enumerate_partitions
 
     out = {}
-    for t in enumerate_partitions(n, n):
+    for t in enumerate_partitions(max(n, 1), n):
         z = 1
         for k in set(t):
             m = t.count(k)

@@ -15,6 +15,10 @@ carrying the sign of prod_{t != j} (mpt_{j'} - mt_t + 1).  The j' = 0 case
 products and takes the positive root.  This convention makes every assembled
 CG block exactly unitary and reproduces the standard two-level (singlet /
 triplet) matrices; see tests for the independent spectral-projector oracle.
+d enters only through the padding: each factor is a d-free difference of
+shifted rows, and each rank past len(mu) + 2 adds one positive factor to
+both sides of the ratio, so the coefficient depends on the two shapes alone
+and its correctly rounded float is the same at rank min(d, len(mu) + 2).
 
 The selection rules are the branching rule, stated once in combinatorics:
 _grown(mu, d) lists the rows j that can take a box, _shrunk the rows that
@@ -101,9 +105,8 @@ def _reduced_wigner(mu, j: int, mup, jp: int, d: int) -> float:
     that obey the selection rules (indices in range, mu' interlacing mu,
     mu + e_j and mu' + e_j' partitions, mu' + e_j' interlacing mu + e_j):
     nothing here checks them, and any other pair gives a wrong value or a
-    ZeroDivisionError, not 0.0."""
-    if d == 1:
-        return 1.0
+    ZeroDivisionError, not 0.0.  Evaluated at rank min(d, len(mu) + 2)."""
+    d = min(d, len(mu) + 2)
     mt = _shifted(mu, d)
     mpt = _shifted(mup, d - 1)
     den = 1
@@ -210,8 +213,6 @@ def cg_triplets(lams, d: int) -> dict:
 def _cg_triplets(lam, d: int) -> tuple:
     """cg_triplets([lam], d)[lam], given the kept triplets of every mu
     interlacing lam at rank d - 1."""
-    if d == 1:
-        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.ones(1)
     grown = _grown(lam, d)
     # first row of each run of equal q_{d-1} = mu'' among the rows of lam + e_j
     run, start = {}, 0
@@ -226,9 +227,10 @@ def _cg_triplets(lam, d: int) -> tuple:
         col += k * d
         # (mu'', j', rows within the run, columns, values) of each outcome;
         # the outcomes mu'' = mu + e_j' of mu's block follow in _grown order
+        # (none at rank 1, where nothing is kept for rank 0)
         parts, lo = [(mu, 0, np.arange(k), cols[:, -1], np.ones(k))], 0
-        rows, lower_cols, vals = _TRIPLETS[mu, d - 1]
         for jp, mupp in _grown(mu, d - 1):
+            rows, lower_cols, vals = _TRIPLETS[mu, d - 1]
             hi = lo + dim_q(mupp, d - 1)
             a, b = np.searchsorted(rows, (lo, hi))
             idx = cols[:, :-1].ravel()[lower_cols[a:b]]

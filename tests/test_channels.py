@@ -11,7 +11,7 @@ from schurkit.channels import (
 from schurkit.characters import young_orthogonal
 from schurkit.cli import main
 from schurkit.combinatorics import dim_p, enumerate_partitions
-from schurkit.permutations import all_permutations
+from schurkit.permutations import all_permutations, conjugacy_classes
 from schurkit.schur_transform import SchurTransform
 
 DEPHASING = np.array(
@@ -29,6 +29,14 @@ def test_kronecker_known_values():
     assert kronecker((3,), (2, 1), (3,)) == 0
     assert kronecker((2, 1), (2, 1), (2, 1)) == 1
     assert kronecker((1, 1, 1), (2, 1), (2, 1)) == 1
+
+
+def test_s0_has_one_class_and_one_invariant():
+    # S_0 is the trivial group: one class, the empty cycle type, of size 1
+    assert conjugacy_classes(0) == {(): 1}
+    assert kronecker((), (), ()) == 1
+    (vec,) = invariant_basis((), (), ())
+    assert vec.tolist() == [1.0]
 
 
 def test_kronecker_symmetry_and_size_mismatch():

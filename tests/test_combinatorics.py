@@ -109,6 +109,18 @@ def test_dimension_formulas_match_enumerations(d, n):
         assert dim_p(lam) == len(enumerate_yy(lam))
 
 
+@pytest.mark.parametrize("d", [100, 1000])
+def test_dim_q_is_the_weyl_product_over_all_rows(d):
+    # dim_q folds the empty rows into one binomial ratio per row of lam; the
+    # Weyl product here runs over every row j < d below each row of lam
+    for n in range(7):
+        for lam in enumerate_partitions(6, n):
+            lt = [x + d - 1 - i for i, x in enumerate(pad(lam, d))]
+            pairs = [(i, j) for i in range(len(lam)) for j in range(i + 1, d)]
+            num = math.prod(lt[i] - lt[j] for i, j in pairs)
+            assert dim_q(lam, d) == num // math.prod(j - i for i, j in pairs), lam
+
+
 @pytest.mark.parametrize("d,n", [(2, 6), (3, 5), (4, 4), (5, 3)])
 def test_dimension_ledger(d, n):
     assert sum(dim_q(l, d) * dim_p(l) for l in enumerate_partitions(d, n)) == d**n
@@ -209,6 +221,11 @@ def test_kostka_values():
     assert kostka((2, 1), (2, 1)) == 1
     assert kostka((3,), (1, 1, 1)) == 1
     assert kostka((1, 1), (2, 0)) == 0
+
+
+def test_kostka_of_the_empty_shape_at_rank_zero():
+    # rank 0 has the one empty pattern, of the empty weight
+    assert kostka((), ()) == 1 == dim_q((), 0) == len(enumerate_gz((), 0))
 
 
 def test_kostka_row_sums_give_dim_q():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurkit
-from schurkit import wigner
+from schurkit import combinatorics, wigner
 from schurkit.combinatorics import (
     _grown,
     _shrunk,
@@ -247,7 +247,8 @@ def _fraction_wigner(mu, j, mup, jp, d):
 
 def test_reduced_wigner_float_ratio_is_the_fraction_ratio(monkeypatch):
     # int / int is correctly rounded, as float(Fraction) is, so the two
-    # formulas agree bit for bit on every coefficient a build reads
+    # formulas agree bit for bit on every coefficient a build reads; the
+    # build evaluates it at rank min(d, len(mu) + 2), the oracle at the full d
     seen = set()
     formula = wigner._reduced_wigner.__wrapped__
 
@@ -258,11 +259,32 @@ def test_reduced_wigner_float_ratio_is_the_fraction_ratio(monkeypatch):
     monkeypatch.setattr(wigner, "_reduced_wigner", record)
     # start from no kept triplets, so that every coefficient is read again
     monkeypatch.setattr(wigner, "_TRIPLETS", {})
-    for d in range(1, 6):
+    for d in range(1, 13):
         cg_triplets([lam for n in range(6) for lam in enumerate_partitions(d, n)], d)
-    assert len(seen) > 1000
+    assert len(seen) > 3000
+    assert any(d > len(mu) + 2 for mu, *_, d in seen)
     for key in seen:
         assert formula(*key) == _fraction_wigner(*key), key
+
+
+def test_cg_build_pads_no_shape_past_two_rows_below_it(monkeypatch):
+    # a coefficient depends on the two shapes, not on d: the build never
+    # forms more shifted rows than a shape's length + 2, even at d = 64
+    asked = []
+
+    def record(lam, d):
+        asked.append(d - len(normalize(lam)))
+        return shifted(lam, d)
+
+    shifted = wigner._shifted
+    monkeypatch.setattr(wigner, "_shifted", record)
+    monkeypatch.setattr(combinatorics, "_shifted", record)
+    # uncached, so that every coefficient is evaluated again
+    monkeypatch.setattr(wigner, "_reduced_wigner", wigner._reduced_wigner.__wrapped__)
+    monkeypatch.setattr(wigner, "_TRIPLETS", {})
+    combinatorics.dim_q.cache_clear()
+    cg_triplets([()], 64)
+    assert asked and max(asked) <= 2
 
 
 def _shapes(d, max_size):
