@@ -85,9 +85,10 @@ class ChannelNormalForm:
     isometry_residual: float
 
 
-def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: int = 2) -> ChannelNormalForm:
+def channel_normal_form(u_n: np.ndarray, n: int, db: int = 2) -> ChannelNormalForm:
     """Decompose u_n^{tensor n} (u_n an isometry C^da -> C^db tensor C^de)
-    in the Schur bases of the input and of both output factors.
+    in the Schur bases of the input and of both output factors; da is the
+    column count of u_n and de its row count over db, which must divide it.
 
     By collective covariance the permutation-register part of every
     (lamA, lamB, lamE) block lies in the span of the diagonal-invariant
@@ -99,8 +100,9 @@ def channel_normal_form(u_n: np.ndarray, n: int, da: int = 2, db: int = 2, de: i
     projection onto its stacked invariant vectors.
     """
     u_n = np.asarray(u_n, dtype=complex)
-    if u_n.shape != (db * de, da):
-        raise ValueError("isometry must map C^da into C^db tensor C^de")
+    if u_n.ndim != 2 or not u_n.size or db < 1 or len(u_n) % db:
+        raise ValueError(f"isometry must map C^da into C^{db} tensor C^de, got shape {u_n.shape}")
+    da, de = u_n.shape[1], len(u_n) // db
     if not np.abs(u_n.conj().T @ u_n - np.eye(da)).max() <= 1e-10:
         raise ValueError("input is not an isometry")
     require_dense((db * de) ** n, da**n)

@@ -395,8 +395,10 @@ def _cmd_schur(args):
 def _cmd_cg(args):
     lam = parse_partition(args.lam) if args.lam else ()
     block = cg_block(lam, args.d)
-    rows = [f"lam'={partition_str(lp)} q={g}" for lp, g in block.row_labels]
-    cols = [f"q={g} i={i}" for g, i in block.col_labels]
+    # a label spells a whole GZ pattern; csv prints none, so it gets blank ones
+    spell = args.format != "csv"
+    rows = [f"lam'={partition_str(lp)} q={g}" if spell else "" for lp, g in block.row_labels]
+    cols = [f"q={g} i={i}" if spell else "" for g, i in block.col_labels]
     return matrix_document(lambda a, b: block.matrix[a:b], rows, cols), EXIT_OK
 
 
@@ -615,92 +617,39 @@ def _build_parser() -> _Parser:
         if flags.pop("n", False):
             p.add_argument("--n", type=int, required=True, help="number of systems")
         if flags.pop("lam", False):
-            p.add_argument(
-                "--lambda", dest="lam", default=None, help="partition, comma syntax"
-            )
+            p.add_argument("--lambda", dest="lam", default=None, help="partition, comma syntax")
         if flags.pop("r", False):
             p.add_argument("--r", required=True, help="probabilities, comma syntax")
         if flags.pop("state", False):
-            p.add_argument(
-                "--state", required=True, help="JSON matrix document, column vector"
-            )
+            p.add_argument("--state", required=True, help="JSON matrix document, column vector")
         for flag, (kind, default, help_text2) in flags.items():
             p.add_argument(f"--{flag}", type=kind, default=default, help=help_text2)
-        p.add_argument(
-            "--format",
-            choices=("table", "json", "csv"),
-            default="table",
-            help="output format",
-        )
+        formats = ("table", "json", "csv")
+        p.add_argument("--format", choices=formats, default="table", help="output format")
         p.add_argument("--out", default=None, help="write output to a file atomically")
         return p
 
-    tol = ("tol", (_positive_float, 1e-10, "numerical tolerance"))
+    tol = (_positive_float, 1e-10, "numerical tolerance")
+    seed = (int, 0, "RNG seed")
     add("dims", _cmd_dims, "sector dimension table", d=True, n=True)
     add("kostka", _cmd_kostka, "Kostka numbers by weight", d=True, n=True, lam=True)
     add("schur", _cmd_schur, "the Schur transform matrix", d=True, n=True)
     add("cg", _cmd_cg, "one Clebsch-Gordan coupling block", d=True, lam=True)
-    add(
-        "verify",
-        _cmd_verify,
-        "randomized duality verification",
-        d=True,
-        n=True,
-        seed=(int, 0, "RNG seed"),
-        trials=(int, 20, "random (U, s) pairs"),
-        **dict([tol]),
-    )
+    add("verify", _cmd_verify, "randomized duality verification", d=True, n=True,
+        seed=seed, trials=(int, 20, "random (U, s) pairs"), tol=tol)
     add("rho", _cmd_rho, "sector distribution of a product state", n=True, r=True)
-    add(
-        "spectrum",
-        _cmd_spectrum,
-        "Monte Carlo spectrum estimation",
-        n=True,
-        r=True,
-        seed=(int, 0, "RNG seed"),
-        trials=(int, 10000, "samples"),
-    )
-    add(
-        "concentrate",
-        _cmd_concentrate,
-        "entanglement concentration report",
-        n=True,
-        state=True,
-        **dict([tol]),
-    )
-    add(
-        "compress",
-        _cmd_compress,
-        "universal compression at a fixed rate",
-        n=True,
-        r=True,
-        rate=(_positive_float, 1.0, "qubits per symbol"),
-    )
-    add(
-        "typebounds",
-        _cmd_typebounds,
-        "sector-mass sandwich and typicality bounds",
-        n=True,
-        r=True,
-        delta=(_positive_float, 0.1, "typicality radius"),
-    )
-    add("qft", _cmd_qft, "symmetric-group Fourier transform", n=True, **dict([tol]))
-    add(
-        "gpe",
-        _cmd_gpe,
-        "generalized phase estimation marginals",
-        d=True,
-        n=True,
-        state=True,
-    )
-    add(
-        "channel",
-        _cmd_channel,
-        "normal form of n channel copies",
-        n=True,
-        spec=(str, "dephasing", "isometry file or builtin name"),
-        **dict([tol]),
-    )
+    add("spectrum", _cmd_spectrum, "Monte Carlo spectrum estimation", n=True, r=True,
+        seed=seed, trials=(int, 10000, "samples"))
+    add("concentrate", _cmd_concentrate, "entanglement concentration report", n=True,
+        state=True, tol=tol)
+    add("compress", _cmd_compress, "universal compression at a fixed rate", n=True, r=True,
+        rate=(_positive_float, 1.0, "qubits per symbol"))
+    add("typebounds", _cmd_typebounds, "sector-mass sandwich and typicality bounds", n=True,
+        r=True, delta=(_positive_float, 0.1, "typicality radius"))
+    add("qft", _cmd_qft, "symmetric-group Fourier transform", n=True, tol=tol)
+    add("gpe", _cmd_gpe, "generalized phase estimation marginals", d=True, n=True, state=True)
+    add("channel", _cmd_channel, "normal form of n channel copies", n=True,
+        spec=(str, "dephasing", "isometry file or builtin name"), tol=tol)
     return parser
 
 

@@ -22,7 +22,6 @@ from .combinatorics import (
     enumerate_partitions,
     multinomial,
     normalize,
-    schur_poly,
     schur_polys,
 )
 from .operators import DenseOperator, _collective_factors, max_or_nan, require_dense
@@ -66,10 +65,26 @@ def normalized_shape(lam, n: int, d: int) -> tuple:
 
 def sector_distribution(r, n: int) -> dict:
     """lam -> dim_p(lam) * schur_poly(lam, r): the exact distribution of the
-    partition label when measuring rho^{tensor n}, spec rho = r."""
+    partition label when measuring rho^{tensor n}, spec rho = r.  ValueError
+    where the masses leave float64's range (_masses), or miss their sum
+    (sum r)^n by more than 1e-9 as schur_polys fall below it."""
     r = _sorted_spectrum(r)
-    polys = schur_polys(enumerate_partitions(len(r), n), r)
-    return {lam: dim_p(lam) * float(s) for lam, s in polys.items()}
+    dist = _masses(enumerate_partitions(len(r), n), r, n)
+    if not abs(math.fsum(dist.values()) - math.fsum(r) ** n) <= 1e-9:
+        raise ValueError(f"the sector masses at n = {n} leave float64's range")
+    return dist
+
+
+def _masses(lams, r, n: int) -> dict:
+    """lam -> dim_p(lam) * float(schur_poly(lam, r)) for shapes lams of n;
+    ValueError where some dim_p passes float64, found before any schur_poly
+    is formed."""
+    try:
+        dims = [float(dim_p(lam)) for lam in lams]
+    except OverflowError:
+        raise ValueError(f"the sector masses at n = {n} leave float64's range") from None
+    polys = schur_polys(lams, r)
+    return {lam: k * float(polys[lam]) for lam, k in zip(lams, dims)}
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +211,7 @@ def trace_bound_check(lam, r, n: int, d: int = None) -> TraceBoundRecord:
         raise ValueError("lam must partition n")
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than {d} rows")
-    value = dim_p(lam) * float(schur_poly(lam, r + (0.0,) * (d - len(r))))
+    value = _masses([lam], r + (0.0,) * (d - len(r)), n)[lam]
     return _trace_bound_record(lam, value, r, n, d)
 
 

@@ -267,9 +267,11 @@ class SchurTransform:
     by_weight[c] is the block of the weight numbered c (_weight_numbers),
     for c = 0..C(n + d - 1, n) - 1: its codec rows (ascending), its
     computational columns (cascade order) and its matrix, a view into its
-    stack; stacks holds the stacks by size, cols the columns in block order
-    and pos[r] the block-order position of codec row r.  All arrays are
-    read-only.
+    stack; stacks holds the stacks by size, cols the columns in block order,
+    tops[lam] the row of each GZ pattern's first path in its block (the
+    pattern table of the last step, _pattern_rows) and pos[r] the
+    block-order position of codec row r, read from that table.  All arrays
+    are read-only.
     """
 
     def __init__(self, d: int, n: int):
@@ -292,26 +294,26 @@ class SchurTransform:
         # it 0.0 and leaves every other entry as it is
         for stack in stacks:
             stack += 0.0
-        # the block of each codec row (shapes in codec order, then patterns in
-        # enumerate_gz order, then paths by rank): one stable sort gives each
-        # block its codec rows, ascending
-        shapes = enumerate_partitions(d, n)
-        paths = np.repeat([dim_p(lam) for lam in shapes], [dim_q(lam, d) for lam in shapes])
-        of = np.repeat(np.concatenate([patterns[lam][0] for lam in shapes]), paths)
+        # codec row (lam, q, p) is row top + p - 1 of block b, for (b, top)
+        # the block and first-path row of pattern q in patterns[lam]
         sizes = np.repeat([s.shape[1] for s in stacks], [len(s) for s in stacks])
-        # the gathers in conjugate skip bounds checks: prove them here (the
-        # sorted rows are a permutation, so pos is one)
-        if not np.array_equal(np.bincount(of, minlength=len(sizes)), sizes):
+        starts = np.cumsum(sizes) - sizes
+        self.pos = np.concatenate([
+            ((starts[b] + top)[:, None] + np.arange(dim_p(lam))).reshape(-1)
+            for lam, (b, top) in patterns.items()
+        ])
+        # the gathers in conjugate skip bounds checks: prove here that pos
+        # and cols are permutations of range(d^n)
+        if not np.array_equal(np.bincount(self.pos, minlength=d**n), np.ones(d**n)):
             raise ValueError(f"weight blocks of S({d}, {n}) miss or repeat rows")
         if not np.array_equal(np.sort(cols), np.arange(d**n)):
             raise ValueError(f"weight blocks of S({d}, {n}) miss or repeat columns")
-        all_rows = np.argsort(of, kind="stable")
-        self.pos = np.empty_like(all_rows)
-        self.pos[all_rows] = np.arange(d**n)
-        for a in (all_rows, cols, self.pos, *stacks):
+        all_rows = np.empty_like(self.pos)
+        all_rows[self.pos] = np.arange(d**n)
+        self.tops = {lam: top for lam, (_, top) in patterns.items()}
+        for a in (all_rows, cols, self.pos, *stacks, *self.tops.values()):
             a.flags.writeable = False
-        ends = np.cumsum(sizes).tolist()
-        spans = [slice(end - m, end) for end, m in zip(ends, sizes.tolist())]
+        spans = [slice(a, a + m) for a, m in zip(starts.tolist(), sizes.tolist())]
         views = [view for stack in stacks for view in stack]
         blocks = [(all_rows[s], cols[s], view) for s, view in zip(spans, views)]
         self.by_weight = tuple(blocks[b] for b in block.tolist())
@@ -322,9 +324,10 @@ class SchurTransform:
         block of their weight, restricted to that block's columns, and those
         columns; ValueError unless qi is an index in [1, dim_q(lam)], which
         the codec checks before a weight is picked."""
-        first, np_ = self.codec.index(lam, qi, 1), self.codec.sector(lam)[2]
-        rows, cols, block = self.by_weight[_gz_numbers(normalize(lam), self.codec.d)[qi - 1]]
-        top = np.searchsorted(rows, first)
+        self.codec.index(lam, qi, 1)
+        lam = normalize(lam)
+        top, np_ = self.tops[lam][qi - 1], self.codec.sectors[lam][2]
+        _, cols, block = self.by_weight[_gz_numbers(lam, self.codec.d)[qi - 1]]
         return block[top : top + np_], cols
 
     def rows(self, start: int, stop: int) -> np.ndarray:
@@ -521,16 +524,14 @@ def _dfs_sector(lam, q, vec, encode: bool, d: int, n: int):
     """
     t = schur(d, n)
     lam = normalize(lam)
-    _, nq, np_ = t.codec.sector(lam)
-    patterns = enumerate_gz(lam, d)
-    qi = q if isinstance(q, (int, np.integer)) else patterns.index(tuple(q)) + 1
-    if not 1 <= qi <= nq:
-        raise ValueError(f"q must lie in 1..{nq} for {lam}, got {qi}")
+    np_ = t.codec.sector(lam)[2]
+    qi = q if isinstance(q, (int, np.integer)) else enumerate_gz(lam, d).index(tuple(q)) + 1
+    rows, cols = t.sector_rows(lam, qi)
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     length = np_ if encode else d**n
     if vec.shape[0] != length:
         raise ValueError(f"vector length must be {length}")
-    return (*t.sector_rows(lam, qi), vec)
+    return rows, cols, vec
 
 
 def dfs_encode(lam, q, p_state, d: int, n: int) -> np.ndarray:

@@ -44,7 +44,6 @@ entries per column; cg_block is the dense view, formed on request.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -99,7 +98,6 @@ def reduced_wigner(mu, j: int, mup, jp: int, d: int) -> float:
     return _reduced_wigner(mu, j, mup, jp, d)
 
 
-@lru_cache(maxsize=None)
 def _reduced_wigner(mu, j: int, mup, jp: int, d: int) -> float:
     """The product formula for canonical mu, mu'.  Callers pass only pairs
     that obey the selection rules (indices in range, mu' interlacing mu,

@@ -565,3 +565,23 @@ def test_malformed_matrix_files_exit_1(tmp_path, capsys, command, content):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "not a matrix document" in err
+
+
+@pytest.mark.parametrize("command", ["rho", "typebounds", "spectrum", "compress"])
+def test_sector_masses_past_float64_exit_1(capsys, command):
+    # dim_p((1000, 1000)) passes float64: one error line, no traceback
+    code, out, err = run(capsys, command, "--r", "0.5,0.5", "--n", "2000")
+    assert code == 1 and out == ""
+    assert err == "error: the sector masses at n = 2000 leave float64's range\n"
+
+
+def test_channel_takes_its_dimensions_from_the_isometry(tmp_path, capsys):
+    # a 4 x 3 isometry maps C^3 into C^2 tensor C^2
+    u, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 3)))
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps({"rows": 4, "cols": 3, "data": [[x, 0.0] for x in u.ravel()]}))
+    code, doc = run_json(capsys, "channel", "--spec", str(path), "--n", "2")
+    assert code == 0 and doc["rows"]
+    assert doc["scalars"]["reconstruction_residual"] < 1e-10
+    assert doc["scalars"]["isometry_residual"] < 1e-10
+    assert {row[0] for row in doc["rows"]} == {"2", "1,1"}

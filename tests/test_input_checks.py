@@ -1,7 +1,10 @@
 """Input checks that no other test reaches: each case calls the public
 function (or the schurkit command) in front of the check and expects its
-ValueError with the current message."""
+ValueError with the current message.  Branches that no other test reaches
+follow the cases."""
 
+import json
+import math
 import re
 
 import numpy as np
@@ -9,7 +12,9 @@ import pytest
 
 from schurkit import cli
 from schurkit.characters import character, young_orthogonal
+from schurkit.channels import channel_normal_form
 from schurkit.combinatorics import (
+    dim_q,
     enumerate_gz,
     enumerate_partitions,
     interlacing_partitions,
@@ -25,6 +30,7 @@ from schurkit.operators import DenseOperator, permute_columns_like
 from schurkit.qtypes import (
     classical_type_bounds,
     compress_rate,
+    concentrate,
     sector_distribution,
     trace_bound_check,
     typical_mass,
@@ -62,6 +68,7 @@ CASES = {
         "shape and weight must have the same size",
     ),
     "parse_partition": (lambda: parse_partition("1,2"), "not a partition: '1,2'"),
+    "dim_q": (lambda: dim_q((1, 1, 1), 2), "partition (1, 1, 1) has more than 2 rows"),
     # characters
     "character": (lambda: character((2, 1), (2,)), "lam and rho must partition the same n"),
     "young_orthogonal": (
@@ -92,6 +99,23 @@ CASES = {
     "typical_mass": (lambda: typical_mass((0.5, 0.5), 2, 0.0), "delta must be positive"),
     "trace_bound_check": (lambda: trace_bound_check((2,), (0.5, 0.5), 3), "lam must partition n"),
     "compress_rate": (lambda: compress_rate((0.5, 0.5), 2, 0.0), "rate must be positive"),
+    # dim_p((1000, 1000)) passes float64
+    "sector_distribution-range": (
+        lambda: sector_distribution((0.5, 0.5), 2000),
+        "the sector masses at n = 2000 leave float64's range",
+    ),
+    "trace_bound_check-range": (
+        lambda: trace_bound_check((1000, 1000), (0.5, 0.5), 2000),
+        "the sector masses at n = 2000 leave float64's range",
+    ),
+    "rho-probs": (
+        lambda: _command("rho", "--n", "2", "--r", "0.5,half"),
+        "cannot parse probability vector: '0.5,half'",
+    ),
+    "channel_normal_form": (
+        lambda: channel_normal_form(np.eye(3), 1),
+        "isometry must map C^da into C^2 tensor C^de, got shape (3, 3)",
+    ),
     # the transform and its applications
     "rho_blocks": (lambda: rho_blocks(np.zeros((2, 3)), 2), "rho must be square"),
     "schur": (lambda: schur(0, 1), "need d >= 1 and n >= 1"),
@@ -103,3 +127,21 @@ def test_input_check_raises_its_message(name):
     call, message = CASES[name]
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_gpe_rejects_a_state_file_of_two_columns(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
+    with pytest.raises(ValueError, match=re.escape("state file must be a matrix document with cols = 1")):
+        _command("gpe", "--d", "2", "--n", "1", "--state", str(path))
+
+
+def test_concentrate_leaves_the_sectors_a_product_state_misses_empty():
+    # |00>^3 lies wholly in the symmetric sector (3): the other sector, (2, 1),
+    # has weight 0, so its Schmidt values are empty
+    report = concentrate(np.eye(4)[0], 3)
+    assert list(report.outcome_weights) == [(3,), (2, 1)]
+    assert report.outcome_weights[(3,)] == pytest.approx(1.0, abs=1e-12)
+    assert len(report.schmidt_values[(2, 1)]) == 0
+    assert math.isclose(sum(report.outcome_weights.values()), 1.0, abs_tol=1e-12)
+    assert report.distortion_free_residual < 1e-10 and report.off_diagonal_mass < 1e-10

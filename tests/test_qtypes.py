@@ -228,6 +228,20 @@ def test_a_nan_sector_mass_is_a_nan_error_mass(monkeypatch):
     assert math.isnan(compress_rate((0.9, 0.1), 12, 1.0).error_mass)
 
 
+def test_sector_masses_that_miss_their_sum_raise(monkeypatch):
+    # a schur_poly fallen below float64's range takes its sector's mass along
+    polys = qtypes.schur_polys
+
+    def underflowed(lams, r):
+        vals = polys(lams, r)
+        vals[next(iter(vals))] = 0.0
+        return vals
+
+    monkeypatch.setattr(qtypes, "schur_polys", underflowed)
+    with pytest.raises(ValueError, match="the sector masses at n = 12 leave float64's range"):
+        qtypes.sector_distribution((0.9, 0.1), 12)
+
+
 @pytest.mark.parametrize(
     "call,message",
     [

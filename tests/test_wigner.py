@@ -250,7 +250,7 @@ def test_reduced_wigner_float_ratio_is_the_fraction_ratio(monkeypatch):
     # formulas agree bit for bit on every coefficient a build reads; the
     # build evaluates it at rank min(d, len(mu) + 2), the oracle at the full d
     seen = set()
-    formula = wigner._reduced_wigner.__wrapped__
+    formula = wigner._reduced_wigner
 
     def record(*key):
         seen.add(key)
@@ -279,8 +279,6 @@ def test_cg_build_pads_no_shape_past_two_rows_below_it(monkeypatch):
     shifted = wigner._shifted
     monkeypatch.setattr(wigner, "_shifted", record)
     monkeypatch.setattr(combinatorics, "_shifted", record)
-    # uncached, so that every coefficient is evaluated again
-    monkeypatch.setattr(wigner, "_reduced_wigner", wigner._reduced_wigner.__wrapped__)
     monkeypatch.setattr(wigner, "_TRIPLETS", {})
     combinatorics.dim_q.cache_clear()
     cg_triplets([()], 64)
