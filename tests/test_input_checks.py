@@ -12,7 +12,6 @@ import pytest
 
 from schurkit import cli
 from schurkit.characters import character, young_orthogonal
-from schurkit.channels import channel_normal_form
 from schurkit.combinatorics import (
     dim_q,
     enumerate_gz,
@@ -111,10 +110,6 @@ CASES = {
     "rho-probs": (
         lambda: _command("rho", "--n", "2", "--r", "0.5,half"),
         "cannot parse probability vector: '0.5,half'",
-    ),
-    "channel_normal_form": (
-        lambda: channel_normal_form(np.eye(3), 1),
-        "isometry must map C^da into C^2 tensor C^de, got shape (3, 3)",
     ),
     # the transform and its applications
     "rho_blocks": (lambda: rho_blocks(np.zeros((2, 3)), 2), "rho must be square"),
