@@ -105,7 +105,7 @@ def channel_normal_form(u_n: np.ndarray, n: int, db: int = 2) -> ChannelNormalFo
     da, de = u_n.shape[1], len(u_n) // db
     if not np.abs(u_n.conj().T @ u_n - np.eye(da)).max() <= 1e-10:
         raise ValueError("input is not an isometry")
-    require_dense((db * de) ** n, da**n)
+    require_dense((db * de) ** n, da**n, what="rows of the tensor power at n = {}", of=(n,))
     conj = collective_split(u_n, n, db)
     # (Sb tensor Se) u_n^{tensor n} Sa^T, one Schur transform per axis
     for axis, d in enumerate((db, de, da)):

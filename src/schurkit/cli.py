@@ -31,7 +31,7 @@ from .combinatorics import (
     weights_of_size,
 )
 from .duality_checks import verify_block_diagonal
-from .operators import dense_cap, max_or_nan
+from .operators import dense_cap, max_or_nan, require_dense
 from .qtypes import (
     compress_rate,
     sector_distribution,
@@ -337,20 +337,10 @@ def _parse_probs(text: str) -> tuple:
 # subcommands (each returns (document, exit code))
 
 
-def _require_count(count: int, what: str) -> None:
-    """The dense guard for count rows or columns of what, worded by the cap, not the count."""
-    cap = dense_cap()
-    if count > cap:
-        raise ValueError(
-            f"more than {cap} {what}: the table exceeds cap {cap}; "
-            "raise SCHURKIT_DENSE_CAP to override"
-        )
-
-
 def _require_shapes(d: int, n: int) -> None:
-    """_require_count for the partitions of n into at most d parts, counted up to the cap."""
+    """The dense guard for the partitions of n into at most d parts, counted up to the cap."""
     count = count_partitions(d, n, stop=dense_cap())
-    _require_count(count, f"partitions of {n} into at most {d} parts")
+    require_dense(count, what="partitions of {} into at most {} parts", of=(n, d))
 
 
 def _cmd_dims(args):
@@ -371,11 +361,11 @@ def _cmd_dims(args):
 
 def _cmd_kostka(args):
     lams = [parse_partition(args.lam)] if args.lam else None
-    # one row per shape and one column per weight, C(n + d - 1, n) of
-    # them, both counted before any is listed
+    # one row per shape and one column per weight, both counted before any is listed
     if not lams:
         _require_shapes(args.d, args.n)
-    _require_count(math.comb(args.n + args.d - 1, args.n), f"{args.d}-letter weights of {args.n}")
+    count = math.comb(args.n + args.d - 1, args.n)
+    require_dense(count, what="{}-letter weights of {}", of=(args.d, args.n))
     lams = lams or enumerate_partitions(args.d, args.n)
     weights = weights_of_size(args.d, args.n)
     rows = [[partition_str(lam)] + row for lam, row in zip(lams, _kostka_rows(lams, weights))]

@@ -133,10 +133,10 @@ def interlacing_partitions(lam, rows: int) -> list:
     lam = normalize(lam)
     if len(lam) > rows + 1:
         raise ValueError(f"partition {lam} has more than {rows + 1} rows")
-    # below an empty row of lam, mu is 0; above it mu_i runs lam_i..lam_(i+1)
+    # mu is 0 below lam's rows and mu_i runs lam_i..lam_(i+1), so only mu's last entry can be 0
     below = lam[1:] + (0,)
     ranges = [range(lam[i], below[i] - 1, -1) for i in range(min(rows, len(lam)))]
-    return [normalize(mu) for mu in product(*ranges)]
+    return [mu[:-1] if mu and not mu[-1] else mu for mu in product(*ranges)]
 
 
 def _grown(lam, d: int) -> list:

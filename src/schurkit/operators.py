@@ -19,14 +19,14 @@ def dense_cap() -> int:
     return int(os.environ.get("SCHURKIT_DENSE_CAP", DEFAULT_DENSE_CAP))
 
 
-def require_dense(*shape: int) -> None:
-    """Raise ValueError unless every dimension of a dense array of this
-    shape is at most dense_cap(); read on every call, so a lowered cap also
-    holds for transforms that are already cached."""
+def require_dense(*shape: int, what: str, of: tuple = ()) -> None:
+    """Raise ValueError, worded by the cap and what.format(*of), never by the
+    size, unless every dimension of this shape is at most dense_cap(), read
+    on every call so a lowered cap also holds for cached transforms."""
     cap = dense_cap()
     if max(shape) > cap:
         raise ValueError(
-            f"dense shape {shape} exceeds cap {cap}; "
+            f"more than {cap} {what.format(*of)}: the request exceeds cap {cap}; "
             "raise SCHURKIT_DENSE_CAP to override"
         )
 

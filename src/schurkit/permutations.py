@@ -71,6 +71,16 @@ def all_permutations(n: int) -> tuple:
     return tuple(itertools.permutations(range(1, n + 1)))
 
 
+def count_permutations(n: int, stop: int) -> int:
+    """n! = len(all_permutations(n)), multiplied out only until it passes
+    stop, so a result above stop is only a lower bound."""
+    count, k = 1, 1
+    while count <= stop and k < n:
+        k += 1
+        count *= k
+    return count
+
+
 def conjugacy_classes(n: int) -> dict:
     """Map cycle type -> class size: n! / (prod_k k^{m_k} m_k!) where m_k is
     the number of k-cycles; S_0 has one class, the empty cycle type."""

@@ -91,6 +91,11 @@ def _masses(lams, r, n: int) -> dict:
 # classical types
 
 
+def _sandwiched(lower: float, value: float, upper: float) -> bool:
+    """lower <= value <= upper up to a relative 1e-9: a value underflowed to 0 fails."""
+    return lower <= value * (1 + 1e-9) and value <= upper * (1 + 1e-9)
+
+
 @dataclass
 class TypeBoundsRecord:
     t: tuple
@@ -106,12 +111,8 @@ class TypeBoundsRecord:
 
     @property
     def bounds_hold(self) -> bool:
-        slack = 1e-9
-        return (
-            self.count_lower <= self.count * (1 + slack)
-            and self.count <= self.count_upper * (1 + slack)
-            and self.mass_lower <= self.mass * (1 + slack)
-            and self.mass <= self.mass_upper * (1 + slack)
+        return _sandwiched(self.count_lower, self.count, self.count_upper) and _sandwiched(
+            self.mass_lower, self.mass, self.mass_upper
         )
 
 
@@ -194,7 +195,7 @@ class TraceBoundRecord:
 
     @property
     def bounds_hold(self) -> bool:
-        return self.lower - 1e-15 <= self.value <= self.upper + 1e-15
+        return _sandwiched(self.lower, self.value, self.upper)
 
 
 def trace_bound_check(lam, r, n: int, d: int = None) -> TraceBoundRecord:
@@ -330,7 +331,7 @@ def concentrate(psi, n: int) -> ConcentrationReport:
     t = schur(d, n)
     # each sector's pair state is a dense dim_p^2 x dim_p^2 array
     largest = max(np_ for _, _, np_ in t.codec.sectors.values()) ** 2
-    require_dense(largest, largest)
+    require_dense(largest, what="rows of the largest pair state at n = {}", of=(n,))
     # psi^{tensor n}, rows a1..an and columns b1..bn, is M^{tensor n} for M = psi.reshape(d, d)
     both = t.conjugate(_collective_factors(psi.reshape(d, d), n))  # rows: Alice, cols: Bob
     report = ConcentrationReport(

@@ -27,13 +27,8 @@ from .combinatorics import (
     partition_str,
     sibling_offset,
 )
-from .operators import (
-    DenseOperator,
-    _image_indices,
-    real_complex_matmul,
-    require_dense,
-)
-from .permutations import all_permutations, cycle_type
+from .operators import DenseOperator, _image_indices, dense_cap, real_complex_matmul, require_dense
+from .permutations import all_permutations, count_permutations, cycle_type
 from .wigner import cg_triplets
 
 
@@ -431,7 +426,7 @@ def schur(d: int, n: int) -> SchurTransform:
     every call, so a lowered cap also rejects a transform built earlier."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    require_dense(d**n)
+    require_dense(d**n, what="rows of S({}, {})", of=(d, n))
     return _transforms(d, n)
 
 
@@ -499,7 +494,9 @@ def central_projector_oracle(lam, d: int, n: int) -> DenseOperator:
     """
     lam = normalize(lam)
     dim = d**n
-    require_dense(dim)
+    require_dense(dim, what="rows of the projector oracle on (C^{})^{}", of=(d, n))
+    # its (n!, n) table of S_n: at d = 1, d^n bounds no n
+    require_dense(count_permutations(n, dense_cap()), what="permutations of {}", of=(n,))
     perms, types, of = _cycle_types(n)
     chi = np.array([character(lam, mu) for mu in types], dtype=float)[of]
     # the s with chi(s) != 0, a batch of _ORACLE_ENTRIES index-map entries at

@@ -25,8 +25,9 @@ import numpy as np
 
 from .characters import young_orthogonal
 from .combinatorics import _weight_numbers, dim_p, enumerate_partitions
-from .operators import DenseOperator, _image_indices, max_or_nan, real_complex_matmul, require_dense
-from .permutations import all_permutations, identity, transposition
+from .operators import DenseOperator, _image_indices, dense_cap, max_or_nan, require_dense
+from .operators import real_complex_matmul
+from .permutations import all_permutations, count_permutations, identity, transposition
 from .schur_transform import schur
 
 
@@ -171,7 +172,7 @@ def _ancilla_pipeline(state, d: int, n: int):
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape[0] != d**n:
         raise ValueError("state length must be d^n")
-    require_dense(math.factorial(n), d**n)
+    require_dense(count_permutations(n, dense_cap()), d**n, what="GPE register rows or columns")
     f, layout = sn_qft_from_schur(n)
     # dest[k, i] = index of P(s_k)|i>
     dest = _image_indices(all_permutations(n), d)

@@ -177,7 +177,7 @@ def cg_block(lam, d: int) -> DenseOperator:
         raise ValueError("d must be >= 1")
     lam = normalize(lam)
     dim = d * dim_q(lam, d)
-    require_dense(dim)
+    require_dense(dim, what="rows of the CG block at d = {}", of=(d,))
     rows, cols, vals = cg_triplets([lam], d)[lam]
     m = np.zeros((dim, dim))
     m[rows, cols] = vals

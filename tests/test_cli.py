@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import time
 import tracemalloc
 from importlib import resources
@@ -293,6 +294,29 @@ def test_oversized_row_counts_are_refused_before_they_are_counted(capsys, argv):
     assert time.perf_counter() - t < 0.1
     assert code == 1 and out == ""
     assert err.startswith("error: more than 4096 partitions") and len(err) < 150, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--d", "2", "--n", "20000"),
+        ("schur", "--d", "10", "--n", "5000"),
+        ("channel", "--n", "300"),
+        ("channel", "--n", "10000"),
+        ("cg", "--d", "200", "--lambda", "50,50,50"),
+        ("dims", "--d", "100", "--n", "100000"),
+        ("kostka", "--d", "1000", "--n", "3"),
+    ],
+    ids=["verify", "schur", "channel300", "channel10000", "cg", "dims", "kostka"],
+)
+def test_every_refusal_past_the_cap_is_worded_by_the_cap(capsys, monkeypatch, argv):
+    # some of these sizes run to thousands of digits; the one error line names none
+    monkeypatch.delenv("SCHURKIT_DENSE_CAP", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 150, err
+    assert err.startswith("error: more than 4096 ") and "exceeds cap 4096" in err
+    assert "SCHURKIT_DENSE_CAP" in err and not re.search(r"\d{10}", err), err
 
 
 def test_count_partitions_stops_once_past_the_bound():

@@ -10,6 +10,7 @@ from schurkit.permutations import (
     check_permutation,
     compose,
     conjugacy_classes,
+    count_permutations,
     cycle_type,
     identity,
     inverse,
@@ -72,3 +73,9 @@ def test_check_permutation():
     for s, n in [((1, 1, 3), 3), ((0, 1, 2), 3), ((2, 3, 4), 3), ((1, 2), 3), ((1.5, 2), 2)]:
         with pytest.raises(ValueError):
             check_permutation(s, n)
+
+
+def test_count_permutations_stops_once_past_the_bound():
+    assert [count_permutations(n, 10**6) for n in range(8)] == [math.factorial(n) for n in range(8)]
+    # 7! = 5040 is the first count past 4096; 10**9! is never formed
+    assert count_permutations(10**9, 4096) == 5040

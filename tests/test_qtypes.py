@@ -12,6 +12,7 @@ from schurkit.cli import main
 from schurkit.combinatorics import dim_p, enumerate_partitions, schur_poly
 from schurkit.operators import collective_split
 from schurkit.qtypes import (
+    TraceBoundRecord,
     classical_type_bounds,
     compress_rate,
     concentrate,
@@ -80,6 +81,17 @@ def test_trace_bound_checks_are_the_per_shape_checks(r, n):
     ]
     with pytest.raises(ValueError, match="n must be >= 1"):
         trace_bound_checks(r, 0)
+
+
+def test_an_underflowed_sector_mass_fails_its_lower_bound(capsys):
+    record = TraceBoundRecord(lam=(1,), value=0.0, divergence=1.0, lower=1e-300, upper=1.0)
+    assert not record.bounds_hold
+    # at n = 800 the masses of (400, 400) and its neighbours underflow to 0.0
+    records = {rec.lam: rec for rec in trace_bound_checks((0.9, 0.1), 800)}
+    assert records[(400, 400)].value == 0.0 and not records[(400, 400)].bounds_hold
+    assert records[(720, 80)].bounds_hold
+    assert main(["typebounds", "--r", "0.9,0.1", "--n", "800"]) == 2
+    capsys.readouterr()
 
 
 def test_trace_bound_check_rejects_a_d_it_cannot_honour():

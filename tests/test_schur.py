@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -174,10 +175,12 @@ def test_projectors_match_character_oracle(d, n):
 @pytest.mark.parametrize(
     "d,n", [(1, 3), (2, 3), (3, 3), (2, 5), (3, 4), pytest.param(2, 7, marks=pytest.mark.slow)]
 )
-def test_projector_oracle_is_the_dense_character_sum(d, n):
+def test_projector_oracle_is_the_dense_character_sum(d, n, monkeypatch):
     """Reference: (dim_p / n!) sum_s chi(s) P(s) with every P(s) a dense
     permutation matrix, summed class by class.  Before the scale every entry
     is a sum of integers, exact in any order, so the match is bitwise."""
+    # the oracle's table of S_n is guarded too: 7! = 5040 passes the default cap
+    monkeypatch.setenv("SCHURKIT_DENSE_CAP", str(max(dense_cap(), math.factorial(n))))
     classes = {}
     for s in all_permutations(n):
         mu = cycle_type(s)
@@ -237,6 +240,28 @@ def test_dfs_roundtrip_and_collective_invariance(rng):
         dec = dfs_decode(lam, qi, rotated, d, n)
         overlap = abs(np.vdot(p_state, dec))
         assert abs(overlap - np.linalg.norm(dec)) < 1e-10
+
+
+def test_projector_oracle_refuses_a_permutation_table_past_the_cap(monkeypatch):
+    # d^n = 4096 passes; the 12! = 479001600 permutations of S_12 do not
+    monkeypatch.delenv("SCHURKIT_DENSE_CAP", raising=False)
+    t = time.perf_counter()
+    with pytest.raises(ValueError, match="more than 4096 permutations of 12: .*exceeds cap"):
+        central_projector_oracle((6, 6), 2, 12)
+    # at d = 1 no bound on d^n limits n, and n! is never formed
+    with pytest.raises(ValueError, match="exceeds cap"):
+        central_projector_oracle((10**6,), 1, 10**6)
+    assert time.perf_counter() - t < 1.0
+
+
+def test_an_oversized_transform_is_refused_by_the_cap_not_its_size(monkeypatch):
+    # 2^20000 has 6021 digits, past what Python prints of an int
+    monkeypatch.delenv("SCHURKIT_DENSE_CAP", raising=False)
+    t = time.perf_counter()
+    with pytest.raises(ValueError, match="SCHURKIT_DENSE_CAP") as info:
+        schur(2, 20000)
+    assert time.perf_counter() - t < 0.1
+    assert str(info.value).startswith("more than 4096 rows of S(2, 20000): ")
 
 
 def test_dense_cap_blocks_large_instances(monkeypatch):

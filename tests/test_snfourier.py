@@ -248,6 +248,13 @@ def test_gpe_memory_stays_linear_in_the_register(rng):
     assert peak < 16 * 2**20
 
 
+def test_gpe_refuses_a_permutation_register_past_the_cap(monkeypatch):
+    # at d = 1 the state has one entry for any n, and n! is never formed
+    monkeypatch.delenv("SCHURKIT_DENSE_CAP", raising=False)
+    with pytest.raises(ValueError, match="more than 4096 GPE register rows or columns"):
+        gpe_measure(np.ones(1), 1, 10**6)
+
+
 def test_gpe_instrument_respects_dense_cap(rng, monkeypatch):
     monkeypatch.setenv("SCHURKIT_DENSE_CAP", "8")
     d, n = 3, 2
