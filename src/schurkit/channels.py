@@ -57,6 +57,7 @@ def _invariant_basis(lam_a, lam_b, lam_c) -> tuple:
     n = sum(lam_a)
     ka, kb, kc = dim_p(lam_a), dim_p(lam_b), dim_p(lam_c)
     dim = ka * kb * kc
+    require_dense(dim, what="rows of the invariant projector of {}, {}, {}", of=(lam_a, lam_b, lam_c))
     acc = np.zeros((dim, dim))
     for s in all_permutations(n):
         acc += np.kron(

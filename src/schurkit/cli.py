@@ -442,6 +442,7 @@ def _cmd_rho(args):
 
 def _cmd_spectrum(args):
     r = _parse_probs(args.r)
+    _require_shapes(len(r), args.n)
     report = spectrum_estimate(r, args.n, args.trials, seed=args.seed)
     rows = [[delta, rate] for delta, rate in report.failure_rates.items()]
     doc = table_document(
@@ -474,6 +475,7 @@ def _cmd_concentrate(args):
 
 def _cmd_compress(args):
     r = _parse_probs(args.r)
+    _require_shapes(len(r), args.n)
     record = compress_rate(r, args.n, args.rate)
     rows = [[partition_str(lam)] for lam in record.kept]
     doc = table_document(

@@ -47,8 +47,8 @@ def rep_matrix_q(lam, u, d: int, n: int) -> DenseOperator:
     from those rows of S alone."""
     u = _require_unitary(u, d)
     t = schur(d, n)
-    _, nq, _ = t.codec.sector(lam)
-    rows = _rows_of_s(t, lam, range(1, nq + 1), 1)
+    sl, _, np_ = t.codec.sector(lam)
+    rows = t.rows(sl.start, sl.stop, np_)  # path 1 of every GZ pattern
     return _irrep_block(right_multiply_collective(rows, u, n), rows)
 
 
@@ -64,19 +64,9 @@ def rep_matrix_p(lam, s, d: int = None, n: int = None) -> DenseOperator:
     if d is None:
         d = max(len(lam), 1)
     t = schur(d, n)
-    _, _, np_ = t.codec.sector(lam)
-    rows = _rows_of_s(t, lam, [1], np_)
+    sl, _, np_ = t.codec.sector(lam)
+    rows = t.rows(sl.start, sl.start + np_)  # GZ pattern 1, every path
     return _irrep_block(permute_columns_like(rows, s, d), rows)
-
-
-def _rows_of_s(t, lam, qis, paths: int) -> np.ndarray:
-    """The rows (lam, qi, 1..paths) of S for each qi in qis, as a dense
-    (len(qis) * paths, d^n) array filled from the weight blocks."""
-    out = np.zeros((len(qis), paths, len(t.codec)))
-    for k, qi in enumerate(qis):
-        block, cols = t.sector_rows(lam, qi)
-        out[k][:, cols] = block[:paths]
-    return out.reshape(-1, len(t.codec))
 
 
 def _irrep_block(xr, rows) -> DenseOperator:

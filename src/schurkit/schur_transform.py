@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,15 +46,20 @@ class SchurLabelCodec:
         self.d = d
         self.n = n
         # sectors: lam -> (its row range, dim_q, dim_p), in codec order
-        self.triples, self.sectors = [], {}
+        self.sectors, start = {}, 0
         for lam in enumerate_partitions(d, n):
-            start = len(self.triples)
-            qs, ps = range(1, dim_q(lam, d) + 1), range(1, dim_p(lam) + 1)
-            self.triples += [(lam, qi, pi) for qi in qs for pi in ps]
-            self.sectors[lam] = (slice(start, len(self.triples)), len(qs), len(ps))
+            nq, np_ = dim_q(lam, d), dim_p(lam)
+            self.sectors[lam] = (slice(start, start + nq * np_), nq, np_)
+            start += nq * np_
 
     def __len__(self):
-        return len(self.triples)
+        return self.d**self.n
+
+    @cached_property
+    def triples(self) -> list:
+        """(lam, qi, pi) of every row, in row order, listed on first read."""
+        return [(lam, qi, pi) for lam, (_, nq, np_) in self.sectors.items()
+                for qi in range(1, nq + 1) for pi in range(1, np_ + 1)]
 
     def sector(self, lam) -> tuple:
         """(row range, dim_q, dim_p) of the lam sector; ValueError unless lam
@@ -76,9 +81,12 @@ class SchurLabelCodec:
 
     def label(self, row: int) -> tuple:
         """(lam, qi, pi) of a row; ValueError unless 0 <= row < d^n."""
-        if not 0 <= row < len(self.triples):
-            raise ValueError(f"row must lie in 0..{len(self.triples) - 1}, got {row}")
-        return self.triples[row]
+        # one read of the cached property: Python 3.11 does not specialize an
+        # attribute that a class descriptor shadows, so each read is slower
+        triples = self.triples
+        if not 0 <= row < len(triples):
+            raise ValueError(f"row must lie in 0..{len(triples) - 1}, got {row}")
+        return triples[row]
 
     def block_slice(self, lam) -> slice:
         """Row range of the lam sector (size dim_q * dim_p)."""
@@ -89,6 +97,9 @@ class SchurLabelCodec:
         return [f"lam={names[lam]} q={qi} p={pi}" for lam, qi, pi in self.triples]
 
     def gz_pattern(self, lam, qi: int):
+        """GZ pattern qi of lam (enumerate_gz order); ValueError unless qi is
+        an index in [1, dim_q(lam)]."""
+        self.index(lam, qi, 1)
         return enumerate_gz(normalize(lam), self.d)[qi - 1]
 
 
@@ -325,20 +336,21 @@ class SchurTransform:
         _, cols, block = self.by_weight[_gz_numbers(lam, self.codec.d)[qi - 1]]
         return block[top : top + np_], cols
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Codec rows start..stop - 1 of S as a new dense real array, the
-        share of each weight block written by one scatter, a block that lies
-        wholly in the range without a search for its share; ValueError
-        unless 0 <= start <= stop <= d^n."""
+    def rows(self, start: int, stop: int, step: int = 1) -> np.ndarray:
+        """Codec rows start, start + step, ... below stop of S as a new dense
+        real array, the share of each weight block written by one scatter: a
+        block that lies wholly in a range of step 1 whole, any other cut by a
+        mask; ValueError unless 0 <= start <= stop <= d^n and step >= 1."""
         dim = len(self.codec)
-        if not 0 <= start <= stop <= dim:
-            raise ValueError(f"rows must lie in 0..{dim}, got {start}..{stop}")
-        out = np.zeros((stop - start, dim))
+        if not 0 <= start <= stop <= dim or step < 1:
+            raise ValueError(f"rows must lie in 0..{dim}, step >= 1, got {start}..{stop} by {step}")
+        out = np.zeros((len(range(start, stop, step)), dim))
         for rows, cols, block in self.by_weight:
-            if start > rows[0] or rows[-1] >= stop:
-                lo, hi = np.searchsorted(rows, (start, stop)).tolist()
-                rows, block = rows[lo:hi], block[lo:hi]
-            out[(rows - start)[:, None], cols] = block
+            at = rows - start
+            if step > 1 or at[0] < 0 or rows[-1] >= stop:
+                keep = (at >= 0) & (rows < stop) & (at % step == 0)
+                at, block = at[keep] // step, block[keep]
+            out[at[:, None], cols] = block
         return out
 
     @property
@@ -522,7 +534,12 @@ def _dfs_sector(lam, q, vec, encode: bool, d: int, n: int):
     t = schur(d, n)
     lam = normalize(lam)
     np_ = t.codec.sector(lam)[2]
-    qi = q if isinstance(q, (int, np.integer)) else enumerate_gz(lam, d).index(tuple(q)) + 1
+    if isinstance(q, (int, np.integer)):
+        qi = q
+    elif tuple(q) in enumerate_gz(lam, d):
+        qi = enumerate_gz(lam, d).index(tuple(q)) + 1
+    else:
+        raise ValueError(f"{tuple(q)} is not a GZ pattern of {lam} at d={d}")
     rows, cols = t.sector_rows(lam, qi)
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     length = np_ if encode else d**n

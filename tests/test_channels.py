@@ -79,6 +79,14 @@ def test_invariant_basis_is_cached_and_read_only():
         vecs[0][0] = 1.0
 
 
+def test_invariant_basis_refuses_a_projector_past_the_cap(monkeypatch):
+    # dim_p((4, 3, 2, 1)) = 768, so the group-average projector would have
+    # 768^3 rows, an exbibyte-sized array
+    monkeypatch.delenv("SCHURKIT_DENSE_CAP", raising=False)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        invariant_basis((4, 3, 2, 1), (4, 3, 2, 1), (4, 3, 2, 1))
+
+
 def test_phi_lambda_is_normalized_and_invariant():
     for lam in enumerate_partitions(4, 4):
         v = phi_lambda(lam)

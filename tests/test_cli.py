@@ -296,6 +296,16 @@ def test_oversized_row_counts_are_refused_before_they_are_counted(capsys, argv):
     assert err.startswith("error: more than 4096 partitions") and len(err) < 150, err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "compress"])
+def test_spectrum_and_compress_count_their_shapes_first(capsys, command):
+    # about 33.3 M partitions of 20000 into at most 3 parts: none is listed
+    t = time.perf_counter()
+    code, out, err = run(capsys, command, "--r", "0.5,0.3,0.2", "--n", "20000")
+    assert time.perf_counter() - t < 1.0
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: more than 4096 partitions"), err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,40 @@ def test_codec_rejects_indices_out_of_range(call):
     # (3, 1) at d = 2 has dim_q = dim_p = 3, and S(2, 4) has 16 rows
     with pytest.raises(ValueError, match="must lie in"):
         call(schur(2, 4))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda codec: codec.gz_pattern((3, 1), 0), "must lie in"),
+        (lambda codec: codec.gz_pattern((3, 1), 4), "must lie in"),
+        (lambda codec: codec.gz_pattern((5,), 1), "not a partition of 4"),
+        (
+            lambda codec: dfs_encode((3, 1), ((9,), (3, 1)), np.ones(3), 2, 4),
+            r"not a GZ pattern of \(3, 1\) at d=2",
+        ),
+    ],
+    ids=["gz-pattern-q0", "gz-pattern-q4", "gz-pattern-foreign-shape", "dfs-foreign-pattern"],
+)
+def test_codec_checks_the_shape_and_the_pattern_index(call, message):
+    # (3, 1) at d = 2 has dim_q = 3, and S(2, 4) has no (5,) sector; q = 0
+    # once read the last pattern through index -1
+    with pytest.raises(ValueError, match=message):
+        call(SchurLabelCodec(2, 4))
+
+
+def test_codec_lists_its_row_labels_only_when_read():
+    # 2^20 rows in 11 sectors: the codec holds the sectors, not a tuple per row
+    elapsed = min(timeit.repeat(lambda: SchurLabelCodec(2, 20), number=1, repeat=3))
+    tracemalloc.start()
+    codec = SchurLabelCodec(2, 20)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 0.01 and peak < 1 << 20, (elapsed, peak)
+    assert len(codec) == 2**20 and "triples" not in vars(codec)
+    for row in np.random.default_rng(20).integers(0, 2**20, 10**4).tolist():
+        assert codec.index(*codec.label(row)) == row
+    assert "triples" in vars(codec) and len(codec.triples) == 2**20
 
 
 def test_codec_is_a_bijection_with_contiguous_blocks():
@@ -558,15 +593,21 @@ def test_rows_are_the_rows_of_the_dense_matrix(d, n):
     t = schur(d, n)
     s, dim = t.dense.matrix, d**n
     assert len(t.by_weight) > 2 or d < 3
+    sectors = t.codec.sectors.values()
+    steps = sorted({1, 2, 3} | {np_ for _, _, np_ in sectors})
     for a in range(dim + 1):
         for b in sorted({a, a + 1, a + 7, a + 29, dim}):
-            if b <= dim:
-                got = t.rows(a, b)
+            for step in steps if b <= dim else ():
+                got = t.rows(a, b, step)
                 assert got.dtype == np.float64 and got.flags.writeable
-                assert got.shape == (b - a, dim) and got.tobytes() == s[a:b].tobytes()
-    for a, b in [(-1, 2), (3, 2), (0, dim + 1)]:
+                assert got.shape == (len(range(a, b, step)), dim)
+                assert got.tobytes() == s[a:b:step].tobytes()
+    # the rows the irrep extractors read: path 1 of every pattern of a sector
+    for sl, _, np_ in sectors:
+        assert t.rows(sl.start, sl.stop, np_).tobytes() == s[sl][::np_].tobytes()
+    for a, b, step in [(-1, 2, 1), (3, 2, 1), (0, dim + 1, 1), (0, 2, 0), (0, 2, -1)]:
         with pytest.raises(ValueError, match="rows must lie in"):
-            t.rows(a, b)
+            t.rows(a, b, step)
 
 
 # the criterion-02 grid: every (d, n) with d, n >= 2 and d^n <= 1024
