@@ -81,8 +81,7 @@ class SchurLabelCodec:
 
     def label(self, row: int) -> tuple:
         """(lam, qi, pi) of a row; ValueError unless 0 <= row < d^n."""
-        # one read of the cached property: Python 3.11 does not specialize an
-        # attribute that a class descriptor shadows, so each read is slower
+        # read once: Python 3.11 does not specialize an attribute a descriptor shadows
         triples = self.triples
         if not 0 <= row < len(triples):
             raise ValueError(f"row must lie in 0..{len(triples) - 1}, got {row}")
